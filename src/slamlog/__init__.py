@@ -51,6 +51,7 @@ from .gadget import (
 )
 from .homsolver import (
     SignatureMismatch,
+    WitnessError,
     arc_consistency,
     core_of,
     enumerate_homomorphisms,

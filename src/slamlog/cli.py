@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (for solve: satisfiable), 1 for a negative
 answer (unsatisfiable, verification failed, no homomorphism), 2 for
-errors and inconclusive results.  File arguments accept '-' for stdin.
+errors, internal ones included, and inconclusive results.  File arguments
+accept '-' for stdin.
 """
 
 from __future__ import annotations
@@ -309,6 +310,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, state)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:    # a defect; exit 1 would read as "no"
+        print(f"error: internal: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -367,18 +368,24 @@ def _compile_rule(rule: Rule, sig: Signature):
     return ("gen", variables, tuple(edb), rule.head, tuple(idb))
 
 
+# id(program) -> (weak reference to it, compiled rules, linear flag).  The
+# key is identity, not equality, so hashing a program is never needed and a
+# copy compiles afresh; an entry is dropped when its program is collected.
 _COMPILED_CACHE: dict[int, tuple] = {}
 
 
-def _compiled_rules(p: Program):
+def _compiled_rules(p: Program) -> tuple[tuple, bool]:
+    """The compiled rules of p, and whether every body has at most one IDB
+    atom (the linear fragment, which decides whether a trace is kept)."""
     entry = _COMPILED_CACHE.get(id(p))
-    if entry is not None and entry[0] is p:
-        return entry[1]
+    if entry is not None and entry[0]() is p:
+        return entry[1], entry[2]
     compiled = tuple(_compile_rule(rule, p.signature) for rule in p.rules)
-    if len(_COMPILED_CACHE) >= 256:
-        _COMPILED_CACHE.clear()
-    _COMPILED_CACHE[id(p)] = (p, compiled)
-    return compiled
+    linear = all(len(_body_split(rule, p.signature)[1]) <= 1
+                 for rule in p.rules)
+    _COMPILED_CACHE[id(p)] = (weakref.ref(p), compiled, linear)
+    weakref.finalize(p, _COMPILED_CACHE.pop, id(p), None).atexit = False
+    return compiled, linear
 
 
 def _ground_rule(compiled, a: Structure, rows_of):
@@ -456,7 +463,8 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
     instances = []           # (rule_idx, binder, head, body facts)
     waiting: dict = {}       # fact -> list of instance indices
     counts = []
-    for rule_idx, compiled in enumerate(_compiled_rules(p)):
+    compiled_rules, linear = _compiled_rules(p)
+    for rule_idx, compiled in enumerate(compiled_rules):
         for binder, head, body in _ground_rule(compiled, a, rows_of):
             inst = len(instances)
             unique = tuple(dict.fromkeys(body)) if body else ()
@@ -495,7 +503,7 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
     facts = frozenset(provenance)
     goal = GOAL_FACT in provenance
     trace = None
-    if goal and fragment_of(p).linear:
+    if goal and linear:
         steps = []
         fact = GOAL_FACT
         while True:

@@ -1,13 +1,31 @@
 """Homomorphism solving between finite relational structures.
 
-Candidate sets are bitmasks over the target domain.  Search is complete
-backtracking with arc-consistency propagation at every node, using fixed
-lowest-index-first variable order and ascending value order so results are
-reproducible.
+Candidate sets are bitmasks over the target domain, one per source element.
+Search is complete backtracking with arc-consistency propagation at every
+node, in one iterative depth-first loop.  It branches on the lowest-index
+element that still has more than one candidate and tries its values in
+ascending order, so homomorphisms come out in lexicographic order of the
+value tuple and `find` returns the lexicographically first one.
+
+Propagation revises atoms: an atom is a source tuple paired with the rows of
+its relation in the target, and revising it keeps, at each position, the
+values of the rows that lie inside the current candidate sets.  The root
+fixpoint is a full scan over all atoms, repeated until nothing changes; most
+calls end there.  Below the root the loop keeps one candidate list and an
+undo trail of (element, old mask) pairs.  A branch remembers the trail's
+length, narrows the list in place, and backtracking pops the trail back to
+that mark.  After a branch only the atoms of elements whose mask shrank are
+revised, from a worklist with an in-queue flag per atom (AC-3: Mackworth,
+"Consistency in networks of relations", AIJ 1977) through an element-to-atom
+index that is built when the search first branches.  The arc-consistent
+fixpoint does not depend on the order of revisions, so both passes reach
+the same candidate sets.  Memory is O(elements + changes), and no call
+recurses, whatever the input size.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .structures import Structure
@@ -15,6 +33,11 @@ from .structures import Structure
 
 class SignatureMismatch(ValueError):
     """Instance and template disagree on relation symbols or arities."""
+
+
+class WitnessError(RuntimeError):
+    """A computed witness failed its check: a defect in the solver, never a
+    verdict about the input."""
 
 
 @dataclass(frozen=True)
@@ -32,6 +55,36 @@ def _check_signatures(a: Structure, b: Structure):
         raise SignatureMismatch(
             f"signatures differ: {a.signature.symbols} vs {b.signature.symbols}"
         )
+
+
+def _first_unfixed(cand: list[int], start: int) -> int | None:
+    """Lowest index from `start` on whose mask has more than one bit."""
+    for i in range(start, len(cand)):
+        m = cand[i]
+        if m & (m - 1):
+            return i
+    return None
+
+
+def _support(t: tuple[int, ...], rows, cand: list[int]) -> list[int]:
+    """Revision of one atom: per position of t, the mask of values taken
+    there by the rows that lie inside the candidate sets of t."""
+    k = len(t)
+    support = [0] * k
+    for u in rows:
+        ok = True
+        for j in range(k):
+            if not (cand[t[j]] >> u[j]) & 1:
+                ok = False
+                break
+        if ok:
+            for j in range(k):
+                support[j] |= 1 << u[j]
+    return support
+
+
+def _values(cand: list[int]) -> tuple[int, ...]:
+    return tuple(m.bit_length() - 1 for m in cand)
 
 
 class HomSearcher:
@@ -61,24 +114,67 @@ class HomSearcher:
         while changed:
             changed = False
             for t, rows in atoms:
-                k = len(t)
-                support = [0] * k
-                for u in rows:
-                    ok = True
-                    for j in range(k):
-                        if not (cand[t[j]] >> u[j]) & 1:
-                            ok = False
-                            break
-                    if ok:
-                        for j in range(k):
-                            support[j] |= 1 << u[j]
-                for j in range(k):
+                support = _support(t, rows, cand)
+                for j in range(len(t)):
                     new = cand[t[j]] & support[j]
                     if new != cand[t[j]]:
                         cand[t[j]] = new
                         changed = True
                         if new == 0:
                             return False
+        return True
+
+    @staticmethod
+    def _index(atoms, size: int):
+        """Element -> indices of the atoms it occurs in, and per atom whether
+        an element repeats in it.  One revision of an atom with distinct
+        elements reaches that atom's own fixpoint, so it need not be
+        revised again for its own changes; one with a repeated element may
+        not, so it is."""
+        watch: list[list[int]] = [[] for _ in range(size)]
+        repeated = bytearray(len(atoms))
+        for ai, (t, _) in enumerate(atoms):
+            elements = dict.fromkeys(t)
+            for e in elements:
+                watch[e].append(ai)
+            repeated[ai] = len(elements) < len(t)
+        return watch, repeated
+
+    @staticmethod
+    def _propagate_from(atoms, watch, repeated, queued: bytearray,
+                        cand: list[int], trail: list, start: int) -> bool:
+        """Revise the atoms of `start`, then those of every element whose
+        mask shrinks, until none shrinks.  Each change goes on the trail
+        before it is made.  False on wipeout; `queued` is all clear on
+        return."""
+        queue = deque(watch[start])
+        for ai in queue:
+            queued[ai] = 1
+        while queue:
+            ai = queue.popleft()
+            again = repeated[ai]
+            if again:
+                queued[ai] = 0
+            t, rows = atoms[ai]
+            support = _support(t, rows, cand)
+            for j in range(len(t)):
+                e = t[j]
+                old = cand[e]
+                new = old & support[j]
+                if new != old:
+                    if new == 0:
+                        queued[ai] = 0
+                        for aj in queue:
+                            queued[aj] = 0
+                        return False
+                    trail.append((e, old))
+                    cand[e] = new
+                    for aj in watch[e]:
+                        if not queued[aj]:
+                            queued[aj] = 1
+                            queue.append(aj)
+            if not again:
+                queued[ai] = 0
         return True
 
     def arc_consistency(self, a: Structure) -> CandidateSets | None:
@@ -96,37 +192,11 @@ class HomSearcher:
     # -- search -------------------------------------------------------------
 
     def find(self, a: Structure) -> tuple[int, ...] | None:
-        _check_signatures(a, self.target)
-        if a.size == 0:
-            return ()
-        if self.nb == 0:
-            return None
-        atoms = self._atoms(a)
-        cand = [self.full] * a.size
-        if not self._propagate(atoms, cand):
-            return None
-        out = self._search(atoms, cand)
-        if out is not None:
-            assert is_homomorphism(a, self.target, out)
-        return out
-
-    def _search(self, atoms, cand: list[int]) -> tuple[int, ...] | None:
-        var = next((i for i, m in enumerate(cand) if m & (m - 1)), None)
-        if var is None:
-            return tuple(m.bit_length() - 1 for m in cand)
-        mask = cand[var]
-        v = 0
-        while mask:
-            if mask & 1:
-                trial = list(cand)
-                trial[var] = 1 << v
-                if self._propagate(atoms, trial):
-                    got = self._search(atoms, trial)
-                    if got is not None:
-                        return got
-            mask >>= 1
-            v += 1
-        return None
+        """First homomorphism a -> target in lexicographic order, or None."""
+        h = next(self.enumerate(a, limit=1), None)
+        if h is not None and not is_homomorphism(a, self.target, h):
+            raise WitnessError(f"search returned {h}, not a homomorphism")
+        return h
 
     def exists(self, a: Structure) -> bool:
         return self.find(a) is not None
@@ -145,28 +215,41 @@ class HomSearcher:
         cand = [self.full] * a.size
         if not self._propagate(atoms, cand):
             return
+        var = _first_unfixed(cand, 0)
+        if var is None:
+            yield _values(cand)
+            return
+        watch, repeated = self._index(atoms, a.size)
+        queued = bytearray(len(atoms))
+        trail: list[tuple[int, int]] = []
+        # One frame per branching element: [element, values not yet tried,
+        # trail length when the frame was pushed].
+        stack = [[var, cand[var], 0]]
         count = 0
-        stack: list[tuple[int, list[int]]] = [(0, cand)]
         while stack:
-            depth, cur = stack.pop()
-            if depth == a.size:
-                yield tuple(m.bit_length() - 1 for m in cur)
+            frame = stack[-1]
+            var, rest, mark = frame
+            while len(trail) > mark:
+                e, m = trail.pop()
+                cand[e] = m
+            if not rest:
+                stack.pop()
+                continue
+            low = rest & -rest
+            frame[1] = rest ^ low
+            trail.append((var, cand[var]))
+            cand[var] = low
+            if not self._propagate_from(atoms, watch, repeated, queued, cand,
+                                        trail, var):
+                continue
+            var = _first_unfixed(cand, var + 1)
+            if var is None:
+                yield _values(cand)
                 count += 1
                 if limit is not None and count >= limit:
                     return
                 continue
-            children = []
-            mask = cur[depth]
-            v = 0
-            while mask:
-                if mask & 1:
-                    trial = list(cur)
-                    trial[depth] = 1 << v
-                    if self._propagate(atoms, trial):
-                        children.append((depth + 1, trial))
-                mask >>= 1
-                v += 1
-            stack.extend(reversed(children))
+            stack.append([var, cand[var], len(trail)])
 
 
 def arc_consistency(a: Structure, b: Structure) -> CandidateSets | None:
@@ -254,8 +337,9 @@ def core_of(b: Structure) -> tuple[Structure, tuple[int, ...]]:
     for i, v in enumerate(inner):
         inverse[v] = i
     retraction = tuple(inverse[comp[e]] for e in range(b.size))
-    assert is_homomorphism(b, core, retraction)
-    assert all(retraction[kept[i]] == i for i in range(core.size))
+    if not is_homomorphism(b, core, retraction) or any(
+            retraction[kept[i]] != i for i in range(core.size)):
+        raise WitnessError("core retraction is not a retraction onto the core")
     return core, retraction
 
 

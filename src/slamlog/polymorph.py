@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .homsolver import find_homomorphism
+from .homsolver import WitnessError, find_homomorphism
 from .structures import Partition, Structure
 
 DEFAULT_DENSE_CAP = 1 << 20
@@ -73,9 +73,13 @@ class OperationTable:
                     return False
         return True
 
-    def satisfies(self, c: "MinorCondition") -> bool:
-        """True when the table is constant on every identity class."""
-        part = closure_partition(c, self.size)
+    def satisfies(self, c: "MinorCondition",
+                  partition: Partition | None = None) -> bool:
+        """True when the table is constant on every identity class.
+        `partition` is closure_partition(c, size) when the caller has
+        already built it."""
+        part = closure_partition(c, self.size) if partition is None \
+            else partition
         seen: dict[int, int] = {}
         for code, v in enumerate(self.values):
             root = part.find(code)
@@ -85,6 +89,20 @@ class OperationTable:
             else:
                 seen[root] = v
         return True
+
+
+def _check_witness(table: OperationTable, c: "MinorCondition",
+                   b: Structure | None = None,
+                   stream_cap: int = DEFAULT_STREAM_CAP,
+                   partition: Partition | None = None) -> None:
+    """Raise WitnessError unless the table satisfies c and, when b is
+    given, is a polymorphism of b."""
+    if not table.satisfies(c, partition):
+        raise WitnessError(f"witness table breaks {render_condition(c)}")
+    if b is not None and not table.is_polymorphism_of(b,
+                                                      stream_cap=stream_cap):
+        raise WitnessError("witness table is not a polymorphism of "
+                           f"{b.name or 'the template'}")
 
 
 def projection_table(size: int, arity: int, coordinate: int = 0) -> OperationTable:
@@ -322,23 +340,29 @@ def direct_power(b: Structure, m: int,
     )
 
 
+def _check_dense(b: Structure, c: MinorCondition, dense_cap: int) -> None:
+    if b.size == 0:
+        raise ValueError("indicator needs a nonempty domain")
+    if b.size ** c.arity > dense_cap:
+        raise CapExceeded(f"{b.size}^{c.arity} exceeds dense cap {dense_cap}")
+
+
 def indicator_structure(
     b: Structure,
     c: MinorCondition,
     dense_cap: int = DEFAULT_DENSE_CAP,
     stream_cap: int = DEFAULT_STREAM_CAP,
+    partition: Partition | None = None,
 ) -> tuple[Structure, tuple[int, ...]]:
     """Quotient of b^arity by the identity closure, plus the class map.
 
     The class map sends each tuple code of b.domain^arity to its class
-    index; classes are numbered by smallest member code.
+    index; classes are numbered by smallest member code.  `partition` is
+    closure_partition(c, b.size) when the caller has already built it.
     """
     m = c.arity
-    if b.size == 0:
-        raise ValueError("indicator needs a nonempty domain")
-    if b.size ** m > dense_cap:
-        raise CapExceeded(f"{b.size}^{m} exceeds dense cap {dense_cap}")
-    part = closure_partition(c, b.size)
+    _check_dense(b, c, dense_cap)
+    part = closure_partition(c, b.size) if partition is None else partition
     class_map, class_count = part.class_index_map()
     rels = []
     for _, ar, rel in b.relation_items():
@@ -368,18 +392,29 @@ def find_polymorphism_satisfying(
     stream_cap: int = DEFAULT_STREAM_CAP,
 ) -> OperationTable | None:
     """A polymorphism of b satisfying c, through the indicator quotient."""
-    ind, class_map = indicator_structure(b, c, dense_cap, stream_cap)
+    return _dense_witness(b, c, dense_cap, stream_cap)[1]
+
+
+def _dense_witness(b: Structure, c: MinorCondition, dense_cap: int,
+                   stream_cap: int) -> tuple[int, OperationTable | None]:
+    """Size of the indicator of c over b, and the polymorphism satisfying c
+    read off the first homomorphism from it to b, or None.  The table is
+    checked against the same closure partition the indicator was built
+    from, so the partition is built once."""
+    _check_dense(b, c, dense_cap)
+    part = closure_partition(c, b.size)
+    ind, class_map = indicator_structure(b, c, dense_cap, stream_cap,
+                                         partition=part)
     h = find_homomorphism(ind, b)
     if h is None:
-        return None
+        return ind.size, None
     table = OperationTable(
         arity=c.arity,
         size=b.size,
         values=tuple(h[cls] for cls in class_map),
     )
-    assert table.satisfies(c)
-    assert table.is_polymorphism_of(b, stream_cap=stream_cap)
-    return table
+    _check_witness(table, c, b, stream_cap, part)
+    return ind.size, table
 
 
 # ---------------------------------------------------------------------------
@@ -587,22 +622,10 @@ def absorptive_check(
         )
         strategy = "dense" if dense_ok else "setsystem"
     if strategy == "dense":
-        ind, class_map = indicator_structure(b, cond, dense_cap, stream_cap)
-        h = find_homomorphism(ind, b)
-        if h is None:
-            return AbsorptiveResult(
-                status="no", k=k, n=n, strategy="dense",
-                indicator_size=ind.size,
-            )
-        table = OperationTable(
-            arity=cond.arity, size=b.size,
-            values=tuple(h[cls] for cls in class_map),
-        )
-        assert table.satisfies(cond)
-        assert table.is_polymorphism_of(b, stream_cap=stream_cap)
+        size, table = _dense_witness(b, cond, dense_cap, stream_cap)
         return AbsorptiveResult(
-            status="yes", k=k, n=n, strategy="dense",
-            indicator_size=ind.size, witness_table=table,
+            status="no" if table is None else "yes", k=k, n=n,
+            strategy="dense", indicator_size=size, witness_table=table,
         )
     struct, systems = _setsystem_structure(b, k, n, stream_cap)
     h = find_homomorphism(struct, b)
@@ -621,7 +644,7 @@ def absorptive_check(
             values.append(lookup[ss])
         table = OperationTable(arity=cond.arity, size=b.size,
                                values=tuple(values))
-        assert table.satisfies(cond)
+        _check_witness(table, cond)
     return AbsorptiveResult(
         status="yes", k=k, n=n, strategy="setsystem",
         indicator_size=struct.size, witness_table=table, witness_map=witness,
@@ -780,8 +803,7 @@ def brute_force_search(
     if not search(0):
         return None
     table = OperationTable(arity=m, size=n, values=tuple(values))
-    assert table.satisfies(c)
-    assert table.is_polymorphism_of(b)
+    _check_witness(table, c, b)
     return table
 
 

@@ -165,3 +165,12 @@ def test_bad_structure_text_is_a_clean_error(files, capsys, tmp_path):
     bad.write_text("structure X\ndomain two\n")
     assert main(["hom", str(bad), files["p2"]]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_internal_error_exits_2_not_1(files, capsys, monkeypatch):
+    def broken(a, b):
+        raise RuntimeError("solver defect")
+    monkeypatch.setattr("slamlog.cli.find_homomorphism", broken)
+    assert main(["solve", files["t3"], files["edge"], "--engine", "search"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: internal: RuntimeError: solver defect\n"

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
+import gc
 import itertools
 import random
 
 import pytest
 
+from slamlog import datalog
 from slamlog.datalog import (
     Atom,
     DatalogFormatError,
@@ -369,3 +372,19 @@ def test_derivation_to_json_shape():
     blob = r.trace.to_json()
     assert [e["fact"][0] for e in blob] == ["P{0}", "P{2}", "goal"]
     assert all(set(e) == {"fact", "rule", "bindings"} for e in blob)
+
+
+def test_compiled_rules_live_only_as_long_as_their_program():
+    c3 = make_structure("C3", (("E", 2),), 3, {"E": {(0, 1), (1, 2), (2, 0)}})
+    # canonical_program keeps its results alive; copies are our own.
+    p = copy.copy(canonical_program(path(2), "slam"))
+    dup = copy.copy(p)
+    first = evaluate(p, c3, stop_at_goal=True)
+    again = evaluate(dup, c3, stop_at_goal=True)
+    assert first.goal and again.goal and again.trace is not None
+    assert {id(p), id(dup)} <= set(datalog._COMPILED_CACHE)
+    key = id(p)
+    del p, first
+    gc.collect()
+    assert key not in datalog._COMPILED_CACHE
+    assert id(dup) in datalog._COMPILED_CACHE

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
+from slamlog.classify import Caps, classify
 from slamlog.fixtures import (
     b_n,
     directed_cycle,
@@ -12,9 +14,12 @@ from slamlog.fixtures import (
     path,
     st_con,
     transitive_tournament,
+    weak_rules_template,
 )
 from slamlog.homsolver import (
+    HomSearcher,
     SignatureMismatch,
+    WitnessError,
     arc_consistency,
     core_of,
     enumerate_homomorphisms,
@@ -36,6 +41,7 @@ def _random_digraph(rng, max_size=4):
 
 
 def _brute_force_hom(a, b):
+    """The lexicographically smallest homomorphism, or None."""
     for h in itertools.product(range(b.size), repeat=a.size):
         if is_homomorphism(a, b, h):
             return h
@@ -50,11 +56,46 @@ def test_find_homomorphism_agrees_with_brute_force():
         b = _random_digraph(rng, max_size=3)
         got = find_homomorphism(a, b)
         want = _brute_force_hom(a, b)
-        assert (got is None) == (want is None)
+        assert got == want
         if got is not None:
             assert is_homomorphism(a, b, got)
             hits += 1
     assert hits > 20
+
+
+def test_find_on_wide_instance_needs_no_recursion():
+    # 2,000 disjoint edges: one branching decision per edge, twice the
+    # default recursion limit.
+    limit = sys.getrecursionlimit()
+    count = 2000
+    rng = random.Random(21)
+    perm = list(range(2 * count))
+    rng.shuffle(perm)
+    a = make_structure("A", (("E", 2),), 2 * count, {
+        "E": {(perm[2 * i], perm[2 * i + 1]) for i in range(count)}})
+    c3 = directed_cycle(3)
+    h = find_homomorphism(a, c3)
+    assert h is not None and is_homomorphism(a, c3, h)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_find_rejects_a_wrong_witness(monkeypatch):
+    monkeypatch.setattr(HomSearcher, "enumerate",
+                        lambda self, a, limit=None: iter([(0,) * a.size]))
+    with pytest.raises(WitnessError):
+        find_homomorphism(path(3), path(3))
+
+
+def test_weak_rules_sweep_ends_inconclusive_at_its_cap():
+    # The dense (2, 3) indicator has about 1,000 elements to branch on.
+    caps = Caps(stream_cap=2 ** 14, max_k=2, max_n=3)
+    report = classify(weak_rules_template(), caps)
+    assert report.verdicts["caterpillar_lam"].value == "inconclusive"
+    assert report.verdicts["slam"].value == "inconclusive"
+    cap = report.witnesses["caterpillar_lam"]
+    assert cap["kind"] == "cap"
+    assert sorted(map(tuple, cap["checked"] + cap["skipped"])) == [
+        (k, n) for k in (1, 2) for n in (1, 2, 3)]
 
 
 def test_enumerate_homomorphisms_matches_brute_force_count():

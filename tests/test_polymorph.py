@@ -13,7 +13,7 @@ from slamlog.fixtures import (
     st_con,
     transitive_tournament,
 )
-from slamlog.homsolver import is_homomorphism
+from slamlog.homsolver import WitnessError, is_homomorphism
 from slamlog.polymorph import (
     ConditionFormatError,
     OperationTable,
@@ -272,3 +272,12 @@ def test_brute_force_search_witness_is_valid():
     assert got is not None
     assert got.is_polymorphism_of(path(2))
     assert _satisfies_literally(got, condition_pairs(quasi_maltsev(), 2))
+
+
+def test_wrong_witness_raises_even_without_asserts(monkeypatch):
+    # A search that returns the constant map: P3 has no loop, so the table
+    # is no polymorphism, and the check must say so without `assert`.
+    monkeypatch.setattr("slamlog.polymorph.find_homomorphism",
+                        lambda a, b: (0,) * a.size)
+    with pytest.raises(WitnessError):
+        find_polymorphism_satisfying(path(3), quasi_maltsev())
