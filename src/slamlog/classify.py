@@ -18,8 +18,7 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .datalog import Program, canonical_program, evaluate
 from .homsolver import core_of, find_homomorphism, is_core
@@ -166,7 +165,8 @@ def classify(b: Structure, caps: Caps = Caps()) -> ClassificationReport:
         witnesses["quasi_maltsev"] = {"table": _table_json(qm)}
 
     t0 = time.perf_counter()
-    verdicts["caterpillar_lam"], cat_witness = _caterpillar(b, caps, ts.ok)
+    verdicts["caterpillar_lam"], cat_witness = _caterpillar(
+        b, caps, ts.ok, k0, n0)
     timing["caterpillar_lam"] = (time.perf_counter() - t0) * 1e3
     if cat_witness is not None:
         witnesses["caterpillar_lam"] = cat_witness
@@ -199,7 +199,7 @@ def classify(b: Structure, caps: Caps = Caps()) -> ClassificationReport:
     )
 
 
-def _caterpillar(b: Structure, caps: Caps, tree_ok: bool):
+def _caterpillar(b: Structure, caps: Caps, tree_ok: bool, k0: int, n0: int):
     if not tree_ok:
         return Verdict("no", "tree duality already fails"), None
     lat = lattice_polymorphisms(b)
@@ -218,9 +218,6 @@ def _caterpillar(b: Structure, caps: Caps, tree_ok: bool):
                 "kind": "lattice_on_core", "core_size": core.size,
                 "join": _table_json(join), "meet": _table_json(meet),
             }
-    m = max(b.signature.max_arity(), 1)
-    k0 = m * b.size
-    n0 = m * math.comb(b.size, b.size // 2)
     try:
         res = absorptive_check(b, k0, n0, dense_cap=caps.dense_cap,
                                stream_cap=caps.stream_cap)
@@ -270,26 +267,14 @@ def emit_slam(b: Structure, caps: Caps = Caps()) -> Program:
 # Exhaustive sweeps
 # ---------------------------------------------------------------------------
 
-def enumerate_instances(signature: Signature, size: int):
+def enumerate_instances(signature: Signature, size: int,
+                        loopless: bool = False):
     """All structures with the given exact domain size, every relation
-    ranging over every subset of tuples.  Deterministic order."""
-    spaces = [sorted(itertools.product(range(size), repeat=ar))
+    ranging over every subset of tuples; with `loopless`, only over the
+    tuples without repeated entries.  Deterministic order."""
+    spaces = [[t for t in itertools.product(range(size), repeat=ar)
+               if not loopless or len(set(t)) == ar]
               for _, ar in signature.symbols]
-    for masks in itertools.product(*(range(1 << len(sp)) for sp in spaces)):
-        relations = tuple(
-            frozenset(sp[i] for i in range(len(sp)) if (mask >> i) & 1)
-            for sp, mask in zip(spaces, masks)
-        )
-        yield Structure(signature=signature, size=size, relations=relations,
-                        name="A")
-
-
-def _loopless_instances(signature: Signature, size: int):
-    spaces = []
-    for _, ar in signature.symbols:
-        space = [t for t in itertools.product(range(size), repeat=ar)
-                 if ar == 1 or len(set(t)) == ar]
-        spaces.append(sorted(space))
     for masks in itertools.product(*(range(1 << len(sp)) for sp in spaces)):
         relations = tuple(
             frozenset(sp[i] for i in range(len(sp)) if (mask >> i) & 1)
@@ -306,10 +291,7 @@ def _sweep_instances(signature: Signature, size_cap: int):
         raise CapExceeded(
             "sweeps beyond size 3 are only supported for arity <= 2")
     for size in range(0, size_cap + 1):
-        if size <= 3:
-            yield from enumerate_instances(signature, size)
-        else:
-            yield from _loopless_instances(signature, size)
+        yield from enumerate_instances(signature, size, loopless=size > 3)
 
 
 @dataclass(frozen=True)
@@ -330,30 +312,14 @@ class SweepReport:
         }, sort_keys=True, indent=2) + "\n"
 
 
-def _run_sweep(instances, check, jobs: int) -> SweepReport:
-    """Run `check` over the stream; result order never depends on jobs."""
+def _run_sweep(instances, check) -> SweepReport:
+    """Run `check` over the stream, serially and in stream order."""
     checked = 0
     bad: list[Structure] = []
-    if jobs <= 1:
-        for a in instances:
-            checked += 1
-            if not check(a):
-                bad.append(a)
-        return SweepReport(checked=checked, counterexamples=tuple(bad))
-
-    def run_chunk(chunk):
-        return [a for a in chunk if not check(a)]
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = []
-        while True:
-            chunk = list(itertools.islice(instances, 512))
-            if not chunk:
-                break
-            checked += len(chunk)
-            futures.append(pool.submit(run_chunk, chunk))
-        for fut in futures:
-            bad.extend(fut.result())
+    for a in instances:
+        checked += 1
+        if not check(a):
+            bad.append(a)
     return SweepReport(checked=checked, counterexamples=tuple(bad))
 
 
@@ -361,7 +327,8 @@ def verify_program_solves(p: Program, b: Structure,
                           size_cap: int | None = None,
                           instances=None, jobs: int = 1) -> SweepReport:
     """Check that the program derives the goal exactly on the instances
-    with no homomorphism to the template."""
+    with no homomorphism to the template.  `jobs` is accepted and ignored:
+    sweeps run serially."""
     if instances is None:
         if size_cap is None:
             raise ValueError("need size_cap or an explicit instance stream")
@@ -372,13 +339,14 @@ def verify_program_solves(p: Program, b: Structure,
         sat = find_homomorphism(a, b) is not None
         return goal == (not sat)
 
-    return _run_sweep(iter(instances), check, jobs)
+    return _run_sweep(instances, check)
 
 
 def verify_duality_pair(obstructions, b: Structure, size_cap: int,
                         jobs: int = 1, instances=None) -> SweepReport:
     """Check that mapping from no obstruction coincides with mapping into
-    the template, over all instances up to the size cap."""
+    the template, over all instances up to the size cap.  `jobs` is
+    accepted and ignored: sweeps run serially."""
     obstructions = tuple(obstructions)
     for f in obstructions:
         if f.signature != b.signature:
@@ -392,4 +360,4 @@ def verify_duality_pair(obstructions, b: Structure, size_cap: int,
         sat = find_homomorphism(a, b) is not None
         return blocked == (not sat)
 
-    return _run_sweep(iter(instances), check, jobs)
+    return _run_sweep(instances, check)

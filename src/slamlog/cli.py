@@ -150,12 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("template")
     v.add_argument("obstructions", nargs="+")
     v.add_argument("--size", type=int, required=True)
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: sweeps run serially")
     v = vsub.add_parser("solves", help="check a program against brute force")
     v.add_argument("program")
     v.add_argument("template")
     v.add_argument("--size", type=int, required=True)
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: sweeps run serially")
 
     return parser
 

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .homsolver import SignatureMismatch
-from .structures import Signature, Structure
+from .structures import Signature, Structure, split_top_level
 
 GOAL = "goal"
 
@@ -188,12 +188,17 @@ def parse_program(text: str, signature: Signature | None = None) -> Program:
     parsed = []
     for line_no, head_text, body_text in raw:
         head = _parse_atom(head_text, line_no)
-        body_parts = _split_atoms(body_text, line_no)
+        try:
+            body_parts = [p for p in split_top_level(body_text) if p]
+        except ValueError as exc:
+            raise DatalogFormatError(
+                f"line {line_no}: unbalanced '{exc}'") from None
+        if not body_parts:
+            raise DatalogFormatError(f"line {line_no}: empty body")
         body = tuple(_parse_atom(p, line_no) for p in body_parts)
         parsed.append((line_no, head, body))
     if signature is None:
         head_preds = {head.pred for _, head, _ in parsed}
-        body_preds = {a.pred for _, _, body in parsed for a in body}
         edb = []
         for _, _, body in parsed:
             for atom in body:
@@ -212,31 +217,6 @@ def parse_program(text: str, signature: Signature | None = None) -> Program:
         return Program(signature=signature, rules=tuple(rules))
     except DatalogFormatError as exc:
         raise DatalogFormatError(str(exc)) from None
-
-
-def _split_atoms(body_text: str, line_no: int) -> list[str]:
-    parts = []
-    depth = 0
-    current = []
-    for ch in body_text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise DatalogFormatError(f"line {line_no}: unbalanced ')'")
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise DatalogFormatError(f"line {line_no}: unbalanced '('")
-    parts.append("".join(current))
-    parts = [p for p in (p.strip() for p in parts) if p]
-    if not parts:
-        raise DatalogFormatError(f"line {line_no}: empty body")
-    return parts
 
 
 def render_program(p: Program) -> str:

@@ -145,16 +145,3 @@ def unfolded_tree_expected() -> Structure:
         ("2''", "3''"), ("2''", "b"), ("b", "4"),
     ]
     return digraph(13, [(ix[u], ix[v]) for u, v in edges], name="UnfoldedTree")
-
-
-def all_digraphs(size: int, loops: bool = True):
-    """All labeled digraphs on `size` vertices, optionally loop-free."""
-    pairs = [
-        (i, j)
-        for i in range(size)
-        for j in range(size)
-        if loops or i != j
-    ]
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if (bits >> k) & 1]
-        yield digraph(size, edges)

@@ -22,6 +22,7 @@ from .structures import (
     Signature,
     Structure,
     canonical_database,
+    split_top_level,
 )
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_']*$")
@@ -106,24 +107,12 @@ def _parse_query(text: str, source: Signature, free: tuple[str, ...]):
         text = rest.strip()
     atoms = []
     equalities = []
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise GadgetFormatError(f"unbalanced parentheses in {text!r}")
-    parts.append("".join(current))
+    try:
+        parts = split_top_level(text)
+    except ValueError:
+        raise GadgetFormatError(
+            f"unbalanced parentheses in {text!r}") from None
     for part in parts:
-        part = part.strip()
         if not part:
             raise GadgetFormatError("empty conjunct")
         m = re.match(r"^([A-Za-z_][A-Za-z0-9_']*)\s*\(([^()]*)\)$", part)

@@ -5,6 +5,11 @@ the template by the smallest equivalence linking the instantiated identity
 pairs; the template has a polymorphism satisfying the condition exactly when
 the quotient maps homomorphically back to the template.
 
+Every reading of the m-th power goes through one kernel, `_power_codes`,
+which streams the mixed-radix column codes of the m-tuples of one relation
+and owns the stream cap: the indicator, the polymorphism check of an
+operation table and the exhaustive table search all use it.
+
 A separate set-system strategy handles block-symmetric absorptive conditions
 whose dense power would not fit in memory, and an exhaustive table search
 acts as an independent oracle at small arities.
@@ -14,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 
 from .homsolver import WitnessError, find_homomorphism
@@ -48,10 +55,7 @@ class OperationTable:
             raise ValueError("table length does not match arity")
 
     def code(self, args) -> int:
-        c = 0
-        for a in args:
-            c = c * self.size + a
-        return c
+        return _tuple_code(args, self.size)
 
     def apply(self, args) -> int:
         return self.values[self.code(args)]
@@ -60,16 +64,11 @@ class OperationTable:
                            stream_cap: int = DEFAULT_STREAM_CAP) -> bool:
         if b.size != self.size:
             return False
-        m = self.arity
-        for _, ar, rel in b.relation_items():
-            rows = sorted(rel)
-            if rows and len(rows) ** m > stream_cap:
-                raise CapExceeded(f"{len(rows)}^{m} tuple combinations")
-            for combo in itertools.product(rows, repeat=m):
-                image = tuple(
-                    self.apply(tuple(u[i] for u in combo)) for i in range(ar)
-                )
-                if image not in rel:
+        values = self.values
+        for rel in b.relations:
+            for codes in _power_codes(sorted(rel), self.arity, self.size,
+                                      stream_cap):
+                if tuple(values[x] for x in codes) not in rel:
                     return False
         return True
 
@@ -206,27 +205,20 @@ def condition_pairs(c: MinorCondition, domain_size: int):
                 yield ((x, x, y), (x, y, x))
                 yield ((x, y, x), (y, x, x))
                 yield ((y, x, x), (x, x, x))
-    elif c.kind == "tsym":
-        groups: dict[frozenset[int], list] = {}
-        for t in itertools.product(d, repeat=c.arity):
-            groups.setdefault(frozenset(t), []).append(t)
-        for members in groups.values():
-            for a in members:
-                for b in members:
-                    if a != b:
-                        yield (a, b)
-    elif c.kind == "absorptive":
+    elif c.kind in ("tsym", "absorptive"):
+        # tuples with the same entry set (tsym) or block sets are identified
         k, n = c.block_size, c.blocks
-        groups = {}
+        groups: dict[frozenset, list] = {}
         for t in itertools.product(d, repeat=c.arity):
-            key = frozenset(_blocks_of(t, k))
+            key = frozenset(t) if c.kind == "tsym" \
+                else frozenset(_blocks_of(t, k))
             groups.setdefault(key, []).append(t)
         for members in groups.values():
             for a in members:
                 for b in members:
                     if a != b:
                         yield (a, b)
-        if n >= 2:
+        if c.kind == "absorptive" and n >= 2:
             # rewrite (S1, S2, rest) -> (S2, S2, rest) whenever S2 is inside S1
             for a in itertools.product(d, repeat=c.arity):
                 bs = _blocks_of(a, k)
@@ -317,27 +309,31 @@ def closure_partition(c: MinorCondition, domain_size: int) -> Partition:
 # Indicator structures
 # ---------------------------------------------------------------------------
 
-def direct_power(b: Structure, m: int,
-                 stream_cap: int = DEFAULT_STREAM_CAP) -> Structure:
-    """The m-th power of b with coordinates coded in mixed radix."""
-    rels = []
-    for _, ar, rel in b.relation_items():
-        rows = sorted(rel)
-        if rows and len(rows) ** m > stream_cap:
-            raise CapExceeded(f"{len(rows)}^{m} tuple combinations")
-        out = set()
-        for combo in itertools.product(rows, repeat=m):
-            out.add(tuple(
-                _tuple_code(tuple(u[i] for u in combo), b.size)
-                for i in range(ar)
-            ))
-        rels.append(frozenset(out))
-    return Structure(
-        signature=b.signature,
-        size=b.size ** m,
-        relations=tuple(rels),
-        name=f"{b.name}^{m}" if b.name else "",
-    )
+def _half_codes(rows, m: int, size: int) -> list[tuple[int, ...]]:
+    """Column codes of every m-tuple of rows, in product order."""
+    codes = [(0,) * len(rows[0])]
+    for _ in range(m):
+        codes = [tuple(c * size + x for c, x in zip(prefix, u))
+                 for prefix in codes for u in rows]
+    return codes
+
+
+def _power_codes(rows, m: int, size: int, stream_cap: int):
+    """The m-th power of one relation, streamed: for each m-tuple of the
+    rows, in lexicographic order (that of itertools.product), the tuple of
+    the mixed-radix codes of its columns.  The codes of the leading and the
+    trailing half of the m-tuple are built once each and combined, so the
+    codes held number O(len(rows) ** ceil(m / 2)), never len(rows) ** m."""
+    if not rows:
+        return
+    if len(rows) ** m > stream_cap:
+        raise CapExceeded(f"{len(rows)}^{m} tuple combinations")
+    low = _half_codes(rows, m // 2, size)
+    shift = size ** (m // 2)
+    for high in _half_codes(rows, m - m // 2, size):
+        shifted = tuple(c * shift for c in high)
+        for codes in low:
+            yield tuple(map(operator.add, shifted, codes))
 
 
 def _check_dense(b: Structure, c: MinorCondition, dense_cap: int) -> None:
@@ -360,22 +356,15 @@ def indicator_structure(
     index; classes are numbered by smallest member code.  `partition` is
     closure_partition(c, b.size) when the caller has already built it.
     """
-    m = c.arity
     _check_dense(b, c, dense_cap)
     part = closure_partition(c, b.size) if partition is None else partition
     class_map, class_count = part.class_index_map()
-    rels = []
-    for _, ar, rel in b.relation_items():
-        rows = sorted(rel)
-        if rows and len(rows) ** m > stream_cap:
-            raise CapExceeded(f"{len(rows)}^{m} tuple combinations")
-        out = set()
-        for combo in itertools.product(rows, repeat=m):
-            out.add(tuple(
-                class_map[_tuple_code(tuple(u[i] for u in combo), b.size)]
-                for i in range(ar)
-            ))
-        rels.append(frozenset(out))
+    rels = [
+        frozenset(tuple(class_map[x] for x in codes)
+                  for codes in _power_codes(sorted(rel), c.arity, b.size,
+                                            stream_cap))
+        for rel in b.relations
+    ]
     ind = Structure(
         signature=b.signature,
         size=class_count,
@@ -434,19 +423,24 @@ class TotallySymmetricResult:
         return {s: self.hom[i] for i, s in enumerate(self.subsets)}
 
 
+def _nonempty_subsets(size: int) -> tuple[frozenset[int], ...]:
+    """The nonempty subsets of 0..size-1, in order of their bit masks."""
+    return tuple(frozenset(v for v in range(size) if (m >> v) & 1)
+                 for m in range(1, 1 << size))
+
+
 def subset_power_structure(b: Structure) -> Structure:
     """Structure on the nonempty subsets of b's domain.
 
     A subset tuple is related when every element of every coordinate set is
     supported by a tuple of the relation lying inside the coordinate sets.
     """
-    masks = list(range(1, 1 << b.size))
-    sets = [frozenset(v for v in range(b.size) if (m >> v) & 1) for m in masks]
+    sets = _nonempty_subsets(b.size)
     rels = []
     for _, ar, rel in b.relation_items():
         rows = sorted(rel)
         out = set()
-        for combo in itertools.product(range(len(masks)), repeat=ar):
+        for combo in itertools.product(range(len(sets)), repeat=ar):
             coord_sets = [sets[i] for i in combo]
             ok = True
             for i in range(ar):
@@ -464,7 +458,7 @@ def subset_power_structure(b: Structure) -> Structure:
         rels.append(frozenset(out))
     return Structure(
         signature=b.signature,
-        size=len(masks),
+        size=len(sets),
         relations=tuple(rels),
         name=f"pow({b.name})" if b.name else "",
     )
@@ -479,14 +473,9 @@ def totally_symmetric_check(b: Structure) -> TotallySymmetricResult:
     if b.size == 0:
         return TotallySymmetricResult(ok=True, power=b, subsets=(), hom=())
     power = subset_power_structure(b)
-    subsets = tuple(
-        frozenset(v for v in range(b.size) if (m >> v) & 1)
-        for m in range(1, 1 << b.size)
-    )
     hom = find_homomorphism(power, b)
-    return TotallySymmetricResult(
-        ok=hom is not None, power=power, subsets=subsets, hom=hom
-    )
+    return TotallySymmetricResult(ok=hom is not None, power=power,
+                                  subsets=_nonempty_subsets(b.size), hom=hom)
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +520,19 @@ class AbsorptiveResult:
 
 def _enumerate_antichains(subsets: list[frozenset[int]], n: int,
                           cap: int) -> list[SetSystem]:
-    out: list[SetSystem] = []
+    # Every family of at most n subsets of one size is an antichain, so the
+    # largest layer bounds the count from below before anything is built.
+    # The enumeration below raises exactly when the count exceeds cap + 1.
+    layer = max(Counter(map(len, subsets)).values(), default=0)
+    if sum(_ncr(layer, r) for r in range(1, min(n, layer) + 1)) > cap + 1:
+        raise CapExceeded(f"more than {cap} set systems")
+    found: list[tuple[frozenset[int], ...]] = []
 
     def extend(start: int, chosen: list[frozenset[int]]):
-        if len(out) > cap:
+        if len(found) > cap:
             raise CapExceeded(f"more than {cap} set systems")
         if chosen:
-            out.append(SetSystem(blocks=frozenset(chosen)))
+            found.append(tuple(chosen))
         if len(chosen) == n:
             return
         for i in range(start, len(subsets)):
@@ -549,6 +544,7 @@ def _enumerate_antichains(subsets: list[frozenset[int]], n: int,
             chosen.pop()
 
     extend(0, [])
+    out = [SetSystem(blocks=frozenset(blocks)) for blocks in found]
     out.sort(key=lambda ss: ss.sort_key())
     return out
 
@@ -756,12 +752,8 @@ def brute_force_search(
     buckets: list[list[tuple[tuple[int, ...], frozenset]]] = [
         [] for _ in range(total)
     ]
-    for _, ar, rel in b.relation_items():
-        rows = sorted(rel)
-        for combo in itertools.product(rows, repeat=m):
-            codes = tuple(
-                _tuple_code(tuple(u[i] for u in combo), n) for i in range(ar)
-            )
+    for rel in b.relations:
+        for codes in _power_codes(sorted(rel), m, n, DEFAULT_STREAM_CAP):
             buckets[max(codes)].append((codes, rel))
     values: list[int | None] = [None] * total
 

@@ -146,6 +146,30 @@ def make_structure(name, symbols, size, relations) -> Structure:
     return Structure(signature=sig, size=size, relations=rels, name=name)
 
 
+def split_top_level(text: str) -> list[str]:
+    """The stripped parts of text between the commas that no parenthesis
+    encloses.  An unbalanced parenthesis raises ValueError whose message is
+    that parenthesis: ')' for one that closes nothing, '(' for one left
+    open."""
+    parts = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(")")
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i].strip())
+            start = i + 1
+    if depth != 0:
+        raise ValueError("(")
+    parts.append(text[start:].strip())
+    return parts
+
+
 @dataclass(frozen=True)
 class ConjunctiveQuery:
     """Existential-conjunctive formula: atoms plus variable equalities.

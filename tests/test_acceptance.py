@@ -15,6 +15,7 @@ import time
 from slamlog.classify import (
     classify,
     emit_slam,
+    enumerate_instances,
     verify_duality_pair,
 )
 from slamlog.datalog import (
@@ -24,9 +25,9 @@ from slamlog.datalog import (
     repair_to_symmetric,
 )
 from slamlog.fixtures import (
+    DIGRAPH_SIG,
     UNFOLD_A,
     UNFOLD_B,
-    all_digraphs,
     b_n,
     directed_cycle,
     horn_sat,
@@ -48,7 +49,13 @@ from slamlog.polymorph import (
     quasi_maltsev,
     quasi_minority,
 )
-from slamlog.structures import Structure, make_structure, shape_of, unfold
+from slamlog.structures import (
+    Signature,
+    Structure,
+    make_structure,
+    shape_of,
+    unfold,
+)
 
 
 FIXTURES = {
@@ -77,8 +84,8 @@ def _digraph_instances():
     """All labeled digraphs with at most 4 vertices: every loopless 4-vertex
     digraph plus every digraph (loops allowed) on up to 3 vertices."""
     for size in (1, 2, 3):
-        yield from all_digraphs(size, loops=True)
-    yield from all_digraphs(4, loops=False)
+        yield from enumerate_instances(Signature(DIGRAPH_SIG), size)
+    yield from enumerate_instances(Signature(DIGRAPH_SIG), 4, loopless=True)
 
 
 def _random_satisfiable(b, rng, max_size):

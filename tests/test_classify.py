@@ -119,6 +119,19 @@ def test_enumerate_instances_counts():
     assert len(list(enumerate_instances(mixed, 2))) == 16 * 4
 
 
+@pytest.mark.parametrize("symbols", [(("E", 2),), (("U", 1), ("E", 2))])
+def test_loopless_stream_is_the_full_stream_filtered(symbols):
+    sig = Signature(symbols)
+    full = [a for a in enumerate_instances(sig, 3)
+            if all(len(set(t)) == len(t) for rel in a.relations for t in rel)]
+    assert list(enumerate_instances(sig, 3, loopless=True)) == full
+
+
+def test_loopless_digraphs_of_size_4():
+    sig = Signature((("E", 2),))
+    assert sum(1 for _ in enumerate_instances(sig, 4, loopless=True)) == 4096
+
+
 def test_verify_program_solves_path_template():
     p = canonical_program(path(2), "slam")
     rep = verify_program_solves(p, path(2), size_cap=3)

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from slamlog import datalog
+from slamlog.classify import enumerate_instances
 from slamlog.datalog import (
     Atom,
     DatalogFormatError,
@@ -28,7 +29,6 @@ from slamlog.datalog import (
     subset_name,
 )
 from slamlog.fixtures import (
-    all_digraphs,
     horn_sat,
     path,
     transitive_tournament,
@@ -209,7 +209,7 @@ def test_program_of_a_path_rejects_the_longer_path():
 def test_am_equals_arc_consistency_on_small_digraphs():
     b = path(2)
     am = canonical_program(b, "am")
-    for a in all_digraphs(3, loops=True):
+    for a in enumerate_instances(DIGRAPH_SIG, 3):
         wipeout = arc_consistency(a, b) is None
         assert evaluate(am, a, stop_at_goal=True).goal == wipeout
 
@@ -218,7 +218,7 @@ def test_lam_and_slam_decide_homomorphism_for_paths():
     b = path(2)
     lam = canonical_program(b, "lam")
     slam = canonical_program(b, "slam")
-    for a in all_digraphs(3, loops=True):
+    for a in enumerate_instances(DIGRAPH_SIG, 3):
         no_hom = find_homomorphism(a, b) is None
         assert evaluate(lam, a, stop_at_goal=True).goal == no_hom
         assert evaluate(slam, a, stop_at_goal=True).goal == no_hom
@@ -331,7 +331,7 @@ def test_repair_on_every_lam_refutation_of_paths():
         lam = canonical_program(b, "lam")
         slam = canonical_program(b, "slam")
         repaired = 0
-        for a in all_digraphs(3, loops=True):
+        for a in enumerate_instances(DIGRAPH_SIG, 3):
             r = evaluate(lam, a, stop_at_goal=True)
             s = evaluate(slam, a, stop_at_goal=True)
             assert r.goal == s.goal

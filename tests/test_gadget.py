@@ -80,6 +80,10 @@ def test_parse_render_round_trip():
     ("ppower d=1 from E/2\nrel E/2 := E(x1)", "arity"),
     ("ppower d=1 from E/2\nrel E/2 := E(x1,x2) ;\nrel E/2 := E(x2,x1)", "duplicate"),
     ("ppower d=1 from E/2\nwhat", "bad segment"),
+    ("ppower d=1 from E/2\nrel E/2 := E(x1,x2)), (E(x2,x1)",
+     "unbalanced parentheses"),
+    ("ppower d=1 from E/2\nrel E/2 := E(x1,x2), (E(x2,x1)",
+     "unbalanced parentheses"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(GadgetFormatError, match=fragment):

@@ -15,6 +15,7 @@ from slamlog.fixtures import (
 )
 from slamlog.homsolver import WitnessError, is_homomorphism
 from slamlog.polymorph import (
+    CapExceeded,
     ConditionFormatError,
     OperationTable,
     absorptive_check,
@@ -32,6 +33,11 @@ from slamlog.polymorph import (
     render_condition,
     totally_symmetric,
     totally_symmetric_check,
+)
+from slamlog.polymorph import (
+    _enumerate_antichains,
+    _power_codes,
+    _tuple_code,
 )
 from slamlog.structures import make_structure
 
@@ -281,3 +287,75 @@ def test_wrong_witness_raises_even_without_asserts(monkeypatch):
                         lambda a, b: (0,) * a.size)
     with pytest.raises(WitnessError):
         find_polymorphism_satisfying(path(3), quasi_maltsev())
+
+
+# --- power-product kernel -----------------------------------------------------
+
+def _literal_power_codes(rows, m, size):
+    return [
+        tuple(_tuple_code(tuple(u[i] for u in combo), size)
+              for i in range(len(rows[0])))
+        for combo in itertools.product(rows, repeat=m)
+    ]
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_power_codes_match_the_literal_product(arity, m):
+    size = 3
+    space = list(itertools.product(range(size), repeat=arity))
+    rows = sorted(random.Random(10 * arity + m).sample(space, 3))
+    want = _literal_power_codes(rows, m, size)
+    assert list(_power_codes(rows, m, size, stream_cap=len(want))) == want
+
+
+def test_power_codes_of_an_empty_relation_are_empty_under_any_cap():
+    assert list(_power_codes([], 4, 2, stream_cap=0)) == []
+
+
+def test_power_codes_raise_exactly_above_the_stream_cap():
+    rows = [(0, 1), (1, 2), (2, 0)]
+    assert len(list(_power_codes(rows, 4, 3, stream_cap=81))) == 81
+    with pytest.raises(CapExceeded, match="3\\^4 tuple combinations"):
+        next(_power_codes(rows, 4, 3, stream_cap=80))
+
+
+# --- set-system enumeration ---------------------------------------------------
+
+def _literal_antichains(subsets, n, cap):
+    """Every antichain of at most n blocks, enumerated in full, with the
+    cap compared before each extension."""
+    out = []
+
+    def extend(start, chosen):
+        if len(out) > cap:
+            raise CapExceeded(f"more than {cap} set systems")
+        if chosen:
+            out.append(frozenset(chosen))
+        if len(chosen) == n:
+            return
+        for i in range(start, len(subsets)):
+            if any(subsets[i] <= o or o <= subsets[i] for o in chosen):
+                continue
+            extend(i + 1, chosen + [subsets[i]])
+
+    extend(0, [])
+    return sorted(out, key=lambda blocks: sorted(sorted(s) for s in blocks))
+
+
+@pytest.mark.parametrize("size,k,n", [(4, 1, 3), (3, 2, 2), (3, 3, 3),
+                                      (4, 2, 3), (4, 4, 2)])
+def test_antichain_enumeration_matches_the_full_enumeration(size, k, n):
+    subsets = [frozenset(s) for r in range(1, k + 1)
+               for s in itertools.combinations(range(size), r)]
+    total = len(_literal_antichains(subsets, n, cap=1 << 20))
+    for cap in range(total + 3):
+        try:
+            want = _literal_antichains(subsets, n, cap)
+        except CapExceeded:
+            want = None
+        try:
+            got = [ss.blocks for ss in _enumerate_antichains(subsets, n, cap)]
+        except CapExceeded:
+            got = None
+        assert got == want, cap
