@@ -63,18 +63,14 @@ def _read(path: str, state: dict) -> str:
 
 
 def _caps(args) -> Caps:
-    caps = Caps()
+    given = {}
     if getattr(args, "cap_dense", None) is not None:
-        caps = Caps(dense_cap=args.cap_dense, stream_cap=caps.stream_cap,
-                    max_k=caps.max_k, max_n=caps.max_n)
+        given["dense_cap"] = args.cap_dense
     if getattr(args, "cap_stream", None) is not None:
-        caps = Caps(dense_cap=caps.dense_cap, stream_cap=args.cap_stream,
-                    max_k=caps.max_k, max_n=caps.max_n)
+        given["stream_cap"] = args.cap_stream
     if getattr(args, "max_kn", None) is not None:
-        k, n = args.max_kn
-        caps = Caps(dense_cap=caps.dense_cap, stream_cap=caps.stream_cap,
-                    max_k=k, max_n=n)
-    return caps
+        given["max_k"], given["max_n"] = args.max_kn
+    return Caps(**given)
 
 
 def _fact_text(fact) -> str:

@@ -11,7 +11,6 @@ template.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 import weakref
@@ -519,7 +518,6 @@ def name_subset(name: str) -> frozenset[int] | None:
     return frozenset(int(x) for x in m.group(1).split("_"))
 
 
-@functools.lru_cache(maxsize=128)
 def canonical_program(b: Structure, fragment: str) -> Program:
     """The canonical program of width (1, max arity) for the template.
 

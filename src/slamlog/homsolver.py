@@ -198,9 +198,6 @@ class HomSearcher:
             raise WitnessError(f"search returned {h}, not a homomorphism")
         return h
 
-    def exists(self, a: Structure) -> bool:
-        return self.find(a) is not None
-
     def enumerate(self, a: Structure, limit: int | None = None):
         """Yield every homomorphism in lexicographic order of the value tuple."""
         _check_signatures(a, self.target)

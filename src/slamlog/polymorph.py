@@ -91,15 +91,13 @@ class OperationTable:
 
 
 def _check_witness(table: OperationTable, c: "MinorCondition",
-                   b: Structure | None = None,
-                   stream_cap: int = DEFAULT_STREAM_CAP,
+                   b: Structure, stream_cap: int = DEFAULT_STREAM_CAP,
                    partition: Partition | None = None) -> None:
-    """Raise WitnessError unless the table satisfies c and, when b is
-    given, is a polymorphism of b."""
+    """Raise WitnessError unless the table satisfies c and is a
+    polymorphism of b."""
     if not table.satisfies(c, partition):
         raise WitnessError(f"witness table breaks {render_condition(c)}")
-    if b is not None and not table.is_polymorphism_of(b,
-                                                      stream_cap=stream_cap):
+    if not table.is_polymorphism_of(b, stream_cap=stream_cap):
         raise WitnessError("witness table is not a polymorphism of "
                            f"{b.name or 'the template'}")
 
@@ -509,6 +507,12 @@ def canonical_set_system(blocks) -> SetSystem:
 
 @dataclass(frozen=True)
 class AbsorptiveResult:
+    """Outcome of absorptive_check.  A dense "yes" carries `witness_table`,
+    the polymorphism itself.  A setsystem "yes" carries `witness_map`, the
+    homomorphism from the set-system structure to the template: the
+    operation sends a tuple to the value of the canonical set system of its
+    blocks.  A "no" carries neither."""
+
     status: str                     # "yes" | "no"
     k: int
     n: int
@@ -625,25 +629,10 @@ def absorptive_check(
         )
     struct, systems = _setsystem_structure(b, k, n, stream_cap)
     h = find_homomorphism(struct, b)
-    if h is None:
-        return AbsorptiveResult(
-            status="no", k=k, n=n, strategy="setsystem",
-            indicator_size=struct.size,
-        )
-    witness = tuple((ss, h[i]) for i, ss in enumerate(systems))
-    table = None
-    if b.size ** cond.arity <= dense_cap:
-        lookup = {ss: val for ss, val in witness}
-        values = []
-        for t in itertools.product(range(b.size), repeat=cond.arity):
-            ss = canonical_set_system(_blocks_of(t, k))
-            values.append(lookup[ss])
-        table = OperationTable(arity=cond.arity, size=b.size,
-                               values=tuple(values))
-        _check_witness(table, cond)
     return AbsorptiveResult(
-        status="yes", k=k, n=n, strategy="setsystem",
-        indicator_size=struct.size, witness_table=table, witness_map=witness,
+        status="no" if h is None else "yes", k=k, n=n, strategy="setsystem",
+        indicator_size=struct.size,
+        witness_map=None if h is None else tuple(zip(systems, h)),
     )
 
 

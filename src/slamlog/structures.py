@@ -132,9 +132,6 @@ class Structure:
         for (sym, ar), rel in zip(self.signature.symbols, self.relations):
             yield sym, ar, rel
 
-    def total_tuples(self) -> int:
-        return sum(len(r) for r in self.relations)
-
 
 def make_structure(name, symbols, size, relations) -> Structure:
     """Convenience constructor from a dict of relation name -> tuples."""
@@ -215,21 +212,14 @@ def canonical_database(q: ConjunctiveQuery) -> tuple[Structure, dict[str, int]]:
     part = Partition(len(order))
     for x, y in q.equalities:
         part.union(index[x], index[y])
-    # number classes by their earliest-declared member
-    class_of: dict[int, int] = {}
-    next_id = 0
-    for i in range(len(order)):
-        root = part.find(i)
-        if root not in class_of:
-            class_of[root] = next_id
-            next_id += 1
-    var_map = {v: class_of[part.find(index[v])] for v in order}
+    class_of, class_count = part.class_index_map()
+    var_map = {v: class_of[index[v]] for v in order}
     rels: dict[str, set[tuple[int, ...]]] = {s: set() for s in q.signature.names()}
     for sym, args in q.atoms:
         rels[sym].add(tuple(var_map[v] for v in args))
     struct = Structure(
         signature=q.signature,
-        size=next_id,
+        size=class_count,
         relations=tuple(frozenset(rels[s]) for s in q.signature.names()),
     )
     return struct, var_map
@@ -265,9 +255,6 @@ class IncidenceGraph:
 
     def node_count(self) -> int:
         return self.element_count + len(self.tuple_nodes)
-
-    def is_tuple_node(self, node: int) -> bool:
-        return node >= self.element_count
 
     def edges(self) -> frozenset[frozenset[int]]:
         out = set()

@@ -243,6 +243,7 @@ def test_acceptance_06_absorptive_bound_machinery():
             dense = absorptive_check(b, k, n, strategy="dense")
             sets = absorptive_check(b, k, n, strategy="setsystem")
             assert dense.status == sets.status, (b.name, k, n)
+            assert dense.indicator_size == sets.indicator_size, (b.name, k, n)
             agreements += 1
     elapsed = time.perf_counter() - start
     print(f"ACCEPTANCE 6: PASS - dense (4,4) yes in {dense_elapsed:.1f}s, "

@@ -376,8 +376,7 @@ def test_derivation_to_json_shape():
 
 def test_compiled_rules_live_only_as_long_as_their_program():
     c3 = make_structure("C3", (("E", 2),), 3, {"E": {(0, 1), (1, 2), (2, 0)}})
-    # canonical_program keeps its results alive; copies are our own.
-    p = copy.copy(canonical_program(path(2), "slam"))
+    p = canonical_program(path(2), "slam")
     dup = copy.copy(p)
     first = evaluate(p, c3, stop_at_goal=True)
     again = evaluate(dup, c3, stop_at_goal=True)

@@ -13,7 +13,7 @@ from slamlog.fixtures import (
     st_con,
     transitive_tournament,
 )
-from slamlog.homsolver import WitnessError, is_homomorphism
+from slamlog.homsolver import HomSearcher, WitnessError, is_homomorphism
 from slamlog.polymorph import (
     CapExceeded,
     ConditionFormatError,
@@ -21,6 +21,8 @@ from slamlog.polymorph import (
     absorptive_check,
     block_symmetric_absorptive,
     brute_force_search,
+    canonical_set_system,
+    closure_partition,
     condition_pairs,
     explicit_condition,
     find_polymorphism_satisfying,
@@ -35,6 +37,7 @@ from slamlog.polymorph import (
     totally_symmetric_check,
 )
 from slamlog.polymorph import (
+    _blocks_of,
     _enumerate_antichains,
     _power_codes,
     _tuple_code,
@@ -247,14 +250,56 @@ def _absorptive_exists_literal(b):
     return False
 
 
+def _table_of_map(witness_map, size, k, n):
+    """The operation a set-system witness stands for: each tuple goes to
+    the value of the canonical set system of its blocks."""
+    lookup = dict(witness_map)
+    return OperationTable(k * n, size, tuple(
+        lookup[canonical_set_system(_blocks_of(t, k))]
+        for t in itertools.product(range(size), repeat=k * n)
+    ))
+
+
 def test_absorptive_check_matches_literal_oracle_at_2_2():
+    cond = block_symmetric_absorptive(2, 2)
     for b in (path(2), b_n(2), horn_sat(), st_con()):
         want = "yes" if _absorptive_exists_literal(b) else "no"
         for strategy in ("dense", "setsystem"):
             r = absorptive_check(b, 2, 2, strategy=strategy)
             assert r.status == want, (b.name, strategy)
-            if r.status == "yes" and r.witness_table is not None:
-                assert r.witness_table.is_polymorphism_of(b)
+            if strategy == "dense":
+                table = r.witness_table
+                assert r.witness_map is None
+            else:
+                assert r.witness_table is None
+                table = None if r.witness_map is None else \
+                    _table_of_map(r.witness_map, b.size, 2, 2)
+            assert (table is not None) == (r.status == "yes")
+            if table is not None:
+                assert table.satisfies(cond)
+                assert table.is_polymorphism_of(b)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("k,n", [(1, 2), (2, 1), (1, 3), (2, 2), (2, 3),
+                                 (3, 2)])
+def test_set_systems_are_the_absorptive_identity_classes(size, k, n):
+    # The set-system strategy reports only its map because canonical set
+    # systems and the classes of the dense closure are the same thing.
+    part = closure_partition(block_symmetric_absorptive(k, n), size)
+    system_of = {}
+    for code, t in enumerate(itertools.product(range(size), repeat=k * n)):
+        ss = canonical_set_system(_blocks_of(t, k))
+        assert system_of.setdefault(part.find(code), ss) == ss, t
+    assert len(set(system_of.values())) == len(system_of)
+
+
+def test_setsystem_strategy_rejects_a_wrong_map(monkeypatch):
+    # The constant map sends every set system to 0, and P2 has no loop.
+    monkeypatch.setattr(HomSearcher, "enumerate",
+                        lambda self, a, limit=None: iter([(0,) * a.size]))
+    with pytest.raises(WitnessError):
+        absorptive_check(path(2), 2, 2, strategy="setsystem")
 
 
 def test_absorptive_fixture_statuses():
