@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .homsolver import SignatureMismatch
+from .polymorph import DEFAULT_STREAM_CAP, CapExceeded
 from .structures import Signature, Structure, split_top_level
 
 GOAL = "goal"
@@ -315,76 +316,67 @@ class EvalResult:
     trace: Derivation | None
 
 
-def _rule_variables(rule: Rule) -> list[str]:
-    seen: list[str] = []
-    for atom in (rule.head, *rule.body):
-        for v in atom.args:
-            if v not in seen:
-                seen.append(v)
-    return seen
-
-
 def _compile_rule(rule: Rule, sig: Signature):
     """Precompute the grounding plan for one rule.
 
-    Connected arc rules (one EDB atom binding every variable) ground by pure
-    position indexing into the relation rows; everything else goes through
-    the generic recursive matcher.
+    Arc rules (one EDB atom binding every variable) ground by position
+    indexing into the rows of that atom; everything else goes through the
+    generic recursive matcher.
     """
-    variables = tuple(_rule_variables(rule))
+    variables = tuple(dict.fromkeys(
+        [v for atom in (rule.head, *rule.body) for v in atom.args]))
     edb, idb = _body_split(rule, sig)
 
-    if len(edb) == 1 and all(v in edb[0].args for v in variables):
+    if len(edb) == 1 and set(variables) <= set(edb[0].args):
         args = edb[0].args
-        eq_pairs = tuple((i, j) for i in range(len(args))
-                         for j in range(i + 1, len(args)) if args[i] == args[j])
-        var_pos = tuple(args.index(v) for v in variables)
-        head_pos = tuple(args.index(v) for v in rule.head.args)
-        idb_pos = tuple((atom.pred, tuple(args.index(v) for v in atom.args))
-                        for atom in idb)
-        return ("arc", variables, edb[0].pred, eq_pairs, var_pos,
-                rule.head.pred, head_pos, idb_pos)
+        pos = {v: args.index(v) for v in variables}
+        # each repeated position paired with the first one of its variable
+        eq_pairs = tuple([(pos[v], i) for i, v in enumerate(args)
+                          if pos[v] != i])
+        return ("arc", variables, edb[0].pred, eq_pairs, tuple(pos.values()),
+                rule.head.pred, tuple([pos[v] for v in rule.head.args]),
+                tuple([(atom.pred, tuple([pos[v] for v in atom.args]))
+                       for atom in idb]))
     return ("gen", variables, tuple(edb), rule.head, tuple(idb))
 
 
-# id(program) -> (weak reference to it, compiled rules, linear flag).  The
-# key is identity, not equality, so hashing a program is never needed and a
-# copy compiles afresh; an entry is dropped when its program is collected.
+# id(program) -> (weak reference to it, compiled rules, linear flag, users).
+# The key is identity, not equality, so hashing a program is never needed and
+# a copy compiles afresh; an entry is dropped when its program is collected.
 _COMPILED_CACHE: dict[int, tuple] = {}
 
 
-def _compiled_rules(p: Program) -> tuple[tuple, bool]:
-    """The compiled rules of p, and whether every body has at most one IDB
-    atom (the linear fragment, which decides whether a trace is kept)."""
+def _compiled_rules(p: Program) -> tuple[tuple, bool, dict]:
+    """The compiled rules of p; whether every body has at most one IDB atom
+    (the linear fragment, which decides whether a trace is kept); and, for
+    each IDB predicate, the rules whose bodies use it in ascending order,
+    each with the distinct atom positions that carry it (None for a rule
+    that is not an arc rule)."""
     entry = _COMPILED_CACHE.get(id(p))
     if entry is not None and entry[0]() is p:
-        return entry[1], entry[2]
+        return entry[1:]
     compiled = tuple(_compile_rule(rule, p.signature) for rule in p.rules)
-    linear = all(len(_body_split(rule, p.signature)[1]) <= 1
-                 for rule in p.rules)
-    _COMPILED_CACHE[id(p)] = (weakref.ref(p), compiled, linear)
+    linear = all(len(c[7] if c[0] == "arc" else c[4]) <= 1 for c in compiled)
+    users: dict[str, dict] = {}     # IDB predicate -> rule index -> positions
+    for rule_idx, c in enumerate(compiled):
+        if c[0] == "arc":
+            for q, poss in c[7]:
+                users.setdefault(q, {}).setdefault(rule_idx, {})[poss] = None
+        else:
+            for atom in c[4]:
+                users.setdefault(atom.pred, {})[rule_idx] = None
+    users = {q: tuple((rule_idx, keys and tuple(keys))
+                      for rule_idx, keys in by_rule.items())
+             for q, by_rule in users.items()}
+    _COMPILED_CACHE[id(p)] = (weakref.ref(p), compiled, linear, users)
     weakref.finalize(p, _COMPILED_CACHE.pop, id(p), None).atexit = False
-    return compiled, linear
+    return compiled, linear, users
 
 
 def _ground_rule(compiled, a: Structure, rows_of):
-    """All substitutions of one compiled rule, deterministic (EDB rows
-    sorted, spare variables ascending).  Yields (binder, head fact, IDB body
-    facts); the binder is resolved to a bindings tuple lazily because only
-    the few instances that actually derive a fact ever need one."""
-    if compiled[0] == "arc":
-        _, variables, pred, eq_pairs, var_pos, head_pred, head_pos, \
-            idb_pos = compiled
-        for t in rows_of(pred):
-            if eq_pairs and any(t[i] != t[j] for i, j in eq_pairs):
-                continue
-            yield (
-                ("lazy", variables, var_pos, t),
-                (head_pred, tuple(t[p] for p in head_pos)),
-                tuple((q, tuple(t[p] for p in poss)) for q, poss in idb_pos),
-            )
-        return
-
+    """All substitutions of a compiled rule that is not an arc rule,
+    deterministic (EDB rows sorted, spare variables ascending).  Yields
+    (bindings, head fact, IDB body facts)."""
     _, variables, edb, head, idb = compiled
 
     def matches(env, atom_idx):
@@ -396,12 +388,7 @@ def _ground_rule(compiled, a: Structure, rows_of):
         atom = edb[atom_idx]
         for t in rows_of(atom.pred):
             env2 = dict(env)
-            ok = True
-            for v, x in zip(atom.args, t):
-                if env2.setdefault(v, x) != x:
-                    ok = False
-                    break
-            if ok:
+            if all(env2.setdefault(v, x) == x for v, x in zip(atom.args, t)):
                 yield from matches(env2, atom_idx + 1)
 
     for env in matches({}, 0):
@@ -413,71 +400,102 @@ def _ground_rule(compiled, a: Structure, rows_of):
         yield bindings, head_fact, body_facts
 
 
-def _resolve_bindings(binder) -> tuple:
-    if binder and binder[0] == "lazy":
-        _, variables, var_pos, t = binder
-        return tuple(zip(variables, (t[p] for p in var_pos)))
-    return binder
-
-
 def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult:
     """Least fixpoint of the program on the instance.
 
-    Facts are derived in worklist order seeded by (rule index, substitution);
-    the first derivation of each fact is remembered, so traces are
-    reproducible.  With stop_at_goal the fixpoint is cut short as soon as the
-    goal fires and the fact set may be partial.
+    Rules are grounded on demand.  Rules without an IDB body atom are
+    grounded first and derive their heads in (rule index, substitution)
+    order.  When a fact is popped from the worklist, each arc rule that uses
+    its predicate is grounded against just the EDB rows that agree with the
+    fact, and a ground instance fires once all of its IDB body facts have
+    been popped; rules are visited in index order and rows in sorted order.
+    Every fact is therefore derived by the same instance, and facts, goal
+    and trace are equal to those of grounding every rule against every tuple
+    up front.  The first derivation of each fact is remembered, so traces
+    are reproducible.  With stop_at_goal the fixpoint is cut short as soon as
+    the goal fires and the fact set may be partial.
     """
     if p.signature != a.signature:
         raise SignatureMismatch(
             f"program over {p.signature} evaluated on {a.signature}"
         )
-    sorted_rows: dict[str, list] = {}
+    compiled_rules, linear, users = _compiled_rules(p)
+    index: dict = {}         # (pred, positions) -> projection -> sorted rows
 
-    def rows_of(pred: str) -> list:
-        if pred not in sorted_rows:
-            sorted_rows[pred] = sorted(a.rel(pred))
-        return sorted_rows[pred]
+    def rows_at(pred: str, poss: tuple = (), args: tuple = ()) -> list:
+        by_args = index.get((pred, poss))
+        if by_args is None:
+            by_args = index[pred, poss] = {}
+            for t in sorted(a.rel(pred)):
+                by_args.setdefault(tuple([t[i] for i in poss]), []).append(t)
+        return by_args.get(args, ())
 
-    instances = []           # (rule_idx, binder, head, body facts)
-    waiting: dict = {}       # fact -> list of instance indices
-    counts = []
-    compiled_rules, linear = _compiled_rules(p)
-    for rule_idx, compiled in enumerate(compiled_rules):
-        for binder, head, body in _ground_rule(compiled, a, rows_of):
-            inst = len(instances)
-            unique = tuple(dict.fromkeys(body)) if body else ()
-            instances.append((rule_idx, binder, head, body))
-            counts.append(len(unique))
-            for fact in unique:
-                waiting.setdefault(fact, []).append(inst)
-
-    provenance: dict = {}
+    provenance: dict = {}    # fact -> (rule index, row or bindings, body)
     queue = deque()
 
-    def derive(fact, inst):
-        if fact in provenance:
-            return
-        rule_idx, binder, _, body = instances[inst]
-        provenance[fact] = (rule_idx, _resolve_bindings(binder), body)
-        queue.append(fact)
+    def derive(head, rule_idx, binder, body) -> bool:
+        """Record the first derivation; True when the evaluation stops."""
+        provenance[head] = (rule_idx, binder, body)
+        queue.append(head)
+        return stop_at_goal and head == GOAL_FACT
 
-    for inst, count in enumerate(counts):
-        if count == 0:
-            derive(instances[inst][2], inst)
+    waiting: dict = {}       # (rule index, fact) -> ground instances
+    for rule_idx, c in enumerate(compiled_rules):
+        if c[0] == "arc":
+            _, _, pred, eq_pairs, _, head_pred, head_pos, idb_pos = c
+            if idb_pos:
+                continue
+            for t in rows_at(pred):
+                head = (head_pred, tuple([t[i] for i in head_pos]))
+                if head not in provenance and \
+                        all(t[i] == t[j] for i, j in eq_pairs):
+                    derive(head, rule_idx, t, ())
+            continue
+        for bindings, head, body in _ground_rule(c, a, rows_at):
+            if body:
+                for fact in dict.fromkeys(body):
+                    waiting.setdefault((rule_idx, fact), []).append(
+                        (bindings, head, body))
+            elif head not in provenance:
+                derive(head, rule_idx, bindings, ())
 
-    goal_seen = GOAL_FACT in provenance
-    while queue and not (stop_at_goal and goal_seen):
+    popped = set()
+    stop = stop_at_goal and GOAL_FACT in provenance
+    while queue and not stop:
         fact = queue.popleft()
-        for inst in waiting.get(fact, ()):
-            counts[inst] -= 1
-            if counts[inst] == 0:
-                head = instances[inst][2]
-                derive(head, inst)
-                if head == GOAL_FACT:
-                    goal_seen = True
-                    if stop_at_goal:
+        popped.add(fact)
+        for rule_idx, keys in users.get(fact[0], ()):
+            if keys is None:
+                for bindings, head, body in waiting.get((rule_idx, fact), ()):
+                    if head in provenance or \
+                            not all(f in popped for f in body):
+                        continue
+                    if stop := derive(head, rule_idx, bindings, body):
                         break
+            else:
+                _, _, pred, eq_pairs, _, head_pred, head_pos, idb_pos = \
+                    compiled_rules[rule_idx]
+                if len(keys) == 1:
+                    rows = rows_at(pred, keys[0], fact[1])
+                else:
+                    rows = sorted({t for poss in keys
+                                   for t in rows_at(pred, poss, fact[1])})
+                for t in rows:
+                    head = (head_pred, tuple([t[i] for i in head_pos]))
+                    if head in provenance or \
+                            not all(t[i] == t[j] for i, j in eq_pairs):
+                        continue
+                    if len(idb_pos) == 1:   # the row agrees with the fact
+                        body = (fact,)
+                    else:
+                        body = tuple([(q, tuple([t[i] for i in poss]))
+                                      for q, poss in idb_pos])
+                        if not all(f in popped for f in body):
+                            continue
+                    if stop := derive(head, rule_idx, t, body):
+                        break
+            if stop:
+                break
 
     facts = frozenset(provenance)
     goal = GOAL_FACT in provenance
@@ -486,9 +504,12 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
         steps = []
         fact = GOAL_FACT
         while True:
-            rule_idx, bindings, body = provenance[fact]
+            rule_idx, binder, body = provenance[fact]
+            c = compiled_rules[rule_idx]
+            if c[0] == "arc":
+                binder = tuple(zip(c[1], (binder[i] for i in c[4])))
             steps.append(DerivationStep(fact=fact, rule_index=rule_idx,
-                                        bindings=bindings))
+                                        bindings=binder))
             if not body:
                 break
             fact = body[0]
@@ -524,11 +545,24 @@ def canonical_program(b: Structure, fragment: str) -> Program:
     All valid rules of the fragment shapes are included: subset IDBs P_S,
     rules moving along one EDB atom, and the goal rules.  For slam, a rule
     with a body IDB is kept only when its reverse is valid as well; for am,
-    bodies may constrain several positions of the EDB atom at once.
+    bodies may constrain several positions of the EDB atom at once, and
+    CapExceeded is raised before anything is built when the am candidates
+    exceed the stream cap.
     """
     if fragment not in FRAGMENTS:
         raise ValueError(f"unknown fragment {fragment!r}")
     n = b.size
+    if fragment == "am":
+        # per r-ary relation, sum_k C(r,k) S^k = (S+1)^r - 1 constrained
+        # bodies, each with r*S heads and one goal
+        s = 1 << n
+        candidates = sum((r * s + 1) * ((s + 1) ** r - 1)
+                         for _, r, _ in b.relation_items())
+        if candidates > DEFAULT_STREAM_CAP:
+            raise CapExceeded(
+                f"canonical am program of a {n}-element template has "
+                f"{candidates} candidate rules, over the stream cap "
+                f"{DEFAULT_STREAM_CAP}")
     subsets = [frozenset(v for v in range(n) if (mask >> v) & 1)
                for mask in range(1 << n)]
     rules: list[Rule] = []

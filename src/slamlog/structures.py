@@ -75,6 +75,8 @@ class Signature:
         names = [name for name, _ in self.symbols]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate symbols in signature: {names}")
+        # not a field, so equality and hashing still see only the symbols
+        object.__setattr__(self, "_name_set", frozenset(names))
         for name, ar in self.symbols:
             if ar < 1:
                 raise ValueError(f"symbol {name} has arity {ar} < 1")
@@ -92,7 +94,7 @@ class Signature:
         return max((ar for _, ar in self.symbols), default=0)
 
     def __contains__(self, name: str) -> bool:
-        return any(sym == name for sym, _ in self.symbols)
+        return name in self._name_set
 
 
 @dataclass(frozen=True)

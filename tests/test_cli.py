@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from slamlog.cli import main
 from slamlog.datalog import canonical_program, render_program
 from slamlog.fixtures import (
     directed_cycle,
+    non_caterpillar_example,
     path,
     transitive_tournament,
     unfolding_tree,
@@ -27,6 +29,7 @@ def files(tmp_path):
         "c3": directed_cycle(3),
         "edge": make_structure("A", (("E", 2),), 2, {"E": {(0, 1)}}),
         "tree": unfolding_tree(),
+        "noncat": non_caterpillar_example(),
     }
     for name, s in named.items():
         p = tmp_path / f"{name}.txt"
@@ -90,6 +93,16 @@ def test_canon_fragments(files, capsys):
     assert main(["canon", files["p2"], "--fragment", "slam"]) == 0
     out = capsys.readouterr().out
     assert out == render_program(canonical_program(path(2), "slam"))
+
+
+def test_canon_am_over_the_stream_cap_exits_2_before_building(files,
+                                                              capsys):
+    start = time.perf_counter()
+    assert main(["canon", files["noncat"], "--fragment", "am"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "3557568 candidate rules" in captured.err
 
 
 def test_canon_refuses_non_slam_template(files, capsys):

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from datalog_oracle import evaluate_grounded
 
 from slamlog import datalog
 from slamlog.classify import enumerate_instances
@@ -29,13 +30,20 @@ from slamlog.datalog import (
     subset_name,
 )
 from slamlog.fixtures import (
+    b_n,
+    caterpillar_example,
+    directed_cycle,
+    f_n,
     horn_sat,
+    non_caterpillar_example,
     path,
+    st_con,
     transitive_tournament,
     weak_rules_instance,
     weak_rules_template,
 )
 from slamlog.homsolver import arc_consistency, find_homomorphism
+from slamlog.polymorph import CapExceeded
 from slamlog.structures import Signature, make_structure
 
 
@@ -177,6 +185,15 @@ def test_canonical_program_fragment_flags():
     assert not fragment_of(canonical_program(horn_sat(), "am")).linear
 
 
+def test_canonical_am_program_over_the_stream_cap_raises():
+    # (r*S + 1) * ((S + 1)^r - 1) candidates per r-ary relation, S = 2^|B|
+    for b in (non_caterpillar_example(), caterpillar_example()):
+        with pytest.raises(CapExceeded):
+            canonical_program(b, "am")
+    assert fragment_of(canonical_program(non_caterpillar_example(),
+                                         "slam")).slam
+
+
 def test_canonical_program_rejects_unknown_fragment():
     with pytest.raises(ValueError):
         canonical_program(path(2), "full")
@@ -268,6 +285,85 @@ def test_trace_is_a_connected_chain():
         rule = lam.rules[step.rule_index]
         idb = [at for at in rule.body if at.pred not in lam.signature]
         assert idb and idb[0].pred == prev.fact[0]
+
+
+def _outcome(result):
+    trace = result.trace.to_json() if result.trace is not None else None
+    return result.facts, result.goal, trace
+
+
+def _agrees_with_grounding(p, a) -> bool:
+    """Compare with full grounding, with and without stop_at_goal, and
+    return whether the goal was derived."""
+    for stop in (False, True):
+        got = _outcome(evaluate(p, a, stop_at_goal=stop))
+        assert got == _outcome(evaluate_grounded(p, a, stop_at_goal=stop)), \
+            (stop, a)
+    return got[1]
+
+
+def _random_instance(signature, rng, size):
+    rels = {sym: {tuple(rng.randrange(size) for _ in range(ar))
+                  for _ in range(rng.randrange(2 * size + 2))}
+            for sym, ar in signature.symbols}
+    return make_structure("A", signature.symbols, size, rels)
+
+
+def test_on_demand_grounding_equals_full_grounding_on_fixtures():
+    rng = random.Random(6061)
+    templates = (path(2), path(3), path(4), transitive_tournament(3), b_n(2),
+                 st_con(), horn_sat(), directed_cycle(3), directed_cycle(4),
+                 f_n(3))
+    goals = 0
+    for b in templates:
+        for fragment in ("am", "lam", "slam"):
+            if fragment == "am" and b.size > 3:
+                continue
+            p = canonical_program(b, fragment)
+            # the oracle grounds every rule, so big programs get few runs
+            for _ in range(2 if len(p.rules) > 10_000 else 10):
+                a = _random_instance(b.signature, rng, rng.randrange(1, 7))
+                goals += _agrees_with_grounding(p, a)
+    assert goals > 50
+
+
+HAND_PROGRAM = """
+S(x) :- E(x,y).
+T(x) :- R(x), S(x).
+G(x) :- E(x,y), E(y,z), T(z).
+H(x) :- T(x), G(x).
+U(x,y) :- E(x,z), E(z,y).
+A(x) :- E(x,y), H(y).
+A(x) :- E(x,y), U(y,y).
+B(y) :- E(x,y), A(x), A(y).
+C(x) :- E(x,x), B(x), A(x).
+N() :- E(x,y), C(y).
+D(x) :- E(x,y), N().
+V(x,y) :- E(x,y), U(y,x).
+W(x) :- R(x).
+W(y) :- E(x,y), V(x,y), W(x).
+goal :- E(x,y), D(x), D(y), W(y).
+"""
+
+
+def test_on_demand_grounding_equals_full_grounding_on_hand_programs():
+    rng = random.Random(6062)
+    p = parse_program(HAND_PROGRAM)
+    kinds = [c[0] for c in datalog._compiled_rules(p)[0]]
+    assert kinds.count("gen") == 3 and kinds.count("arc") == 12
+    linear = parse_program("P(x) :- E(x,y).\nQ(y) :- E(x,y), P(x).\n"
+                           "Q(x) :- E(x,y), P(y).\ngoal :- R(x), Q(x).\n"
+                           "goal :- E(x,x), Q(x).\n")
+    goals = 0
+    for i in range(150):
+        for prog in (p, linear):
+            a = _random_instance(prog.signature, rng, rng.randrange(1, 6))
+            if i % 5 == 0:
+                empty = {sym: set() if sym == "R" else a.rel(sym)
+                         for sym, _ in prog.signature.symbols}
+                a = make_structure("A", prog.signature.symbols, a.size, empty)
+            goals += _agrees_with_grounding(prog, a)
+    assert goals > 40
 
 
 def test_signature_mismatch_on_evaluate():
