@@ -135,19 +135,22 @@ def classify(b: Structure, caps: Caps = Caps()) -> ClassificationReport:
     n0 = m * math.comb(b.size, b.size // 2)
 
     t0 = time.perf_counter()
-    ts = totally_symmetric_check(b)
-    timing["tree_duality"] = (time.perf_counter() - t0) * 1e3
-    if ts.ok:
-        verdicts["tree_duality"] = Verdict("yes", "subset power maps home")
-        witnesses["tree_duality"] = {
-            "subset_hom": [[sorted(s), v]
-                           for s, v in sorted(ts.witness_map().items(),
-                                              key=lambda kv: sorted(kv[0]))],
-        }
+    try:
+        ts = totally_symmetric_check(b, stream_cap=caps.stream_cap)
+    except CapExceeded as exc:
+        verdicts["tree_duality"] = Verdict("inconclusive", str(exc))
     else:
-        verdicts["tree_duality"] = Verdict(
-            "no", "no totally symmetric polymorphism of arity "
-                  f"{max(2 ** b.size - 1, 1)}")
+        if ts.ok:
+            verdicts["tree_duality"] = Verdict("yes", "subset power maps home")
+            witnesses["tree_duality"] = {
+                "subset_hom": [[sorted(s), v] for s, v in sorted(
+                    ts.witness_map().items(), key=lambda kv: sorted(kv[0]))],
+            }
+        else:
+            verdicts["tree_duality"] = Verdict(
+                "no", "no totally symmetric polymorphism of arity "
+                      f"{max(2 ** b.size - 1, 1)}")
+    timing["tree_duality"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
     try:
@@ -166,7 +169,7 @@ def classify(b: Structure, caps: Caps = Caps()) -> ClassificationReport:
 
     t0 = time.perf_counter()
     verdicts["caterpillar_lam"], cat_witness = _caterpillar(
-        b, caps, ts.ok, k0, n0)
+        b, caps, verdicts["tree_duality"].value, k0, n0)
     timing["caterpillar_lam"] = (time.perf_counter() - t0) * 1e3
     if cat_witness is not None:
         witnesses["caterpillar_lam"] = cat_witness
@@ -199,8 +202,8 @@ def classify(b: Structure, caps: Caps = Caps()) -> ClassificationReport:
     )
 
 
-def _caterpillar(b: Structure, caps: Caps, tree_ok: bool, k0: int, n0: int):
-    if not tree_ok:
+def _caterpillar(b: Structure, caps: Caps, tree: str, k0: int, n0: int):
+    if tree == "no":
         return Verdict("no", "tree duality already fails"), None
     lat = lattice_polymorphisms(b)
     if lat is not None:
@@ -219,8 +222,7 @@ def _caterpillar(b: Structure, caps: Caps, tree_ok: bool, k0: int, n0: int):
                 "join": _table_json(join), "meet": _table_json(meet),
             }
     try:
-        res = absorptive_check(b, k0, n0, dense_cap=caps.dense_cap,
-                               stream_cap=caps.stream_cap)
+        res = absorptive_check(b, k0, n0, stream_cap=caps.stream_cap)
         if res.status == "yes":
             return Verdict(
                 "yes", f"absorptive polymorphism at (k0, n0) = "
@@ -237,8 +239,7 @@ def _caterpillar(b: Structure, caps: Caps, tree_ok: bool, k0: int, n0: int):
     skipped = []
     for k, n in _sweep_pairs(caps):
         try:
-            res = absorptive_check(b, k, n, dense_cap=caps.dense_cap,
-                                   stream_cap=caps.stream_cap)
+            res = absorptive_check(b, k, n, stream_cap=caps.stream_cap)
         except CapExceeded:
             skipped.append([k, n])
             continue

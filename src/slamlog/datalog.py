@@ -47,7 +47,7 @@ class Atom:
     args: tuple[str, ...]
 
     def render(self) -> str:
-        if not self.args:
+        if self.pred == GOAL and not self.args:
             return self.pred
         return f"{self.pred}({','.join(self.args)})"
 

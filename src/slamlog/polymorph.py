@@ -10,9 +10,10 @@ which streams the mixed-radix column codes of the m-tuples of one relation
 and owns the stream cap: the indicator, the polymorphism check of an
 operation table and the exhaustive table search all use it.
 
-A separate set-system strategy handles block-symmetric absorptive conditions
-whose dense power would not fit in memory, and an exhaustive table search
-acts as an independent oracle at small arities.
+The subset power and the set systems of absorptive conditions are built
+from their generators, not from the power; the dense indicator stays as the
+oracle for set systems, and an exhaustive table search as an independent
+oracle at small arities.
 """
 
 from __future__ import annotations
@@ -427,50 +428,48 @@ def _nonempty_subsets(size: int) -> tuple[frozenset[int], ...]:
                  for m in range(1, 1 << size))
 
 
-def subset_power_structure(b: Structure) -> Structure:
-    """Structure on the nonempty subsets of b's domain.
-
-    A subset tuple is related when every element of every coordinate set is
-    supported by a tuple of the relation lying inside the coordinate sets.
-    """
-    sets = _nonempty_subsets(b.size)
+def subset_power_structure(b: Structure,
+                           stream_cap: int = DEFAULT_STREAM_CAP) -> Structure:
+    """Structure on the nonempty subsets of b's domain, the subset with bit
+    mask m as element m - 1.  A relation holds the coordinate projections of
+    each nonempty set of its rows: the closure of the rows' singleton tuples
+    under componentwise union, capped at stream_cap tuples."""
     rels = []
-    for _, ar, rel in b.relation_items():
-        rows = sorted(rel)
-        out = set()
-        for combo in itertools.product(range(len(sets)), repeat=ar):
-            coord_sets = [sets[i] for i in combo]
-            ok = True
-            for i in range(ar):
-                for v in coord_sets[i]:
-                    if not any(
-                        u[i] == v and all(u[j] in coord_sets[j] for j in range(ar))
-                        for u in rows
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.add(combo)
-        rels.append(frozenset(out))
+    for sym, _, rel in b.relation_items():
+        gens = {tuple(1 << v for v in u) for u in rel}
+        seen = set(gens)
+        work = list(gens)
+        while work:
+            t = work.pop()
+            for g in gens:
+                u = tuple(map(operator.or_, t, g))
+                if u not in seen:
+                    seen.add(u)
+                    work.append(u)
+            if len(seen) > stream_cap:
+                raise CapExceeded(f"subset power relation {sym} has more "
+                                  f"than {stream_cap} tuples")
+        rels.append(frozenset(tuple(m - 1 for m in t) for t in seen))
     return Structure(
         signature=b.signature,
-        size=len(sets),
+        size=(1 << b.size) - 1,
         relations=tuple(rels),
         name=f"pow({b.name})" if b.name else "",
     )
 
 
-def totally_symmetric_check(b: Structure) -> TotallySymmetricResult:
+def totally_symmetric_check(
+    b: Structure, stream_cap: int = DEFAULT_STREAM_CAP,
+) -> TotallySymmetricResult:
     """Decide totally symmetric polymorphisms of all arities at once.
 
-    The subset structure maps to b exactly when such a family exists; the
-    homomorphism is the witness (send each argument set to its image).
+    The subset power (capped by stream_cap) maps to b exactly when such a
+    family exists; the homomorphism is the witness (send each argument set
+    to its image).
     """
     if b.size == 0:
         return TotallySymmetricResult(ok=True, power=b, subsets=(), hom=())
-    power = subset_power_structure(b)
+    power = subset_power_structure(b, stream_cap)
     hom = find_homomorphism(power, b)
     return TotallySymmetricResult(ok=hom is not None, power=power,
                                   subsets=_nonempty_subsets(b.size), hom=hom)
@@ -603,24 +602,18 @@ def absorptive_check(
     b: Structure,
     k: int,
     n: int,
-    strategy: str = "auto",
+    strategy: str = "setsystem",
     dense_cap: int = DEFAULT_DENSE_CAP,
     stream_cap: int = DEFAULT_STREAM_CAP,
 ) -> AbsorptiveResult:
     """Decide a k-absorptive block-symmetric polymorphism with n blocks.
 
-    dense quotients the full power; setsystem works on canonical antichains
-    directly and scales to large arities when relations are small.
+    setsystem maps the structure on canonical antichains of blocks home and
+    scales to large arities; dense quotients the full power and is its oracle.
     """
-    if strategy not in ("auto", "dense", "setsystem"):
+    if strategy not in ("dense", "setsystem"):
         raise ValueError(f"unknown strategy {strategy}")
     cond = block_symmetric_absorptive(k, n)
-    if strategy == "auto":
-        dense_ok = b.size ** cond.arity <= dense_cap and all(
-            len(rel) ** cond.arity <= stream_cap or not rel
-            for rel in b.relations
-        )
-        strategy = "dense" if dense_ok else "setsystem"
     if strategy == "dense":
         size, table = _dense_witness(b, cond, dense_cap, stream_cap)
         return AbsorptiveResult(

@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from test_acceptance import VERDICT_TABLE
 
+from slamlog import polymorph
 from slamlog.classify import (
     Caps,
     NotSlam,
@@ -16,11 +18,15 @@ from slamlog.classify import (
 from slamlog.datalog import canonical_program, fragment_of
 from slamlog.fixtures import (
     b_n,
+    caterpillar_example,
     directed_cycle,
+    f_n,
     horn_sat,
+    non_caterpillar_example,
     path,
     st_con,
     transitive_tournament,
+    weak_rules_template,
 )
 from slamlog.polymorph import condition_pairs, quasi_maltsev
 from slamlog.structures import Signature
@@ -109,6 +115,50 @@ def test_tiny_caps_leave_b2_inconclusive():
     assert rep.verdicts["slam"].value == "inconclusive"
     with pytest.raises(NotSlam):
         emit_slam(b_n(2), caps)
+
+
+def test_subset_power_cap_leaves_tree_duality_inconclusive():
+    # T4's subset power relation closes to 27 tuples, over a cap of 16
+    rep = classify(transitive_tournament(4), Caps(stream_cap=16))
+    tree = rep.verdicts["tree_duality"]
+    assert tree.value == "inconclusive" and "16" in tree.detail
+    assert "tree_duality" not in rep.witnesses
+    # caterpillar duality still tries its own certificates
+    assert rep.verdicts["caterpillar_lam"].value == "yes"
+    assert rep.witnesses["caterpillar_lam"]["kind"] == "lattice"
+
+
+def _verdicts(rep):
+    return tuple(rep.verdicts[k].value for k in
+                 ("tree_duality", "quasi_maltsev", "caterpillar_lam", "slam"))
+
+
+def test_classify_runs_no_dense_absorptive_check(monkeypatch):
+    # The benchmark's classify runs: 13 fixtures at default caps and three
+    # capped six-element templates.
+    runs = [(b, Caps()) for b in (
+        path(2), path(3), path(4), transitive_tournament(3),
+        transitive_tournament(4), b_n(2), b_n(3), st_con(), horn_sat(),
+        directed_cycle(3), directed_cycle(4), f_n(3),
+        non_caterpillar_example())]
+    lowered = Caps(stream_cap=1 << 12, max_k=2, max_n=2)
+    runs += [(weak_rules_template(), lowered),
+             (caterpillar_example(), lowered),
+             (weak_rules_template(), Caps(stream_cap=1 << 14, max_k=2,
+                                          max_n=3))]
+    want = [_verdicts(classify(b, caps)) for b, caps in runs]
+    closure_partition = polymorph.closure_partition
+
+    def no_absorptive(c, domain_size):
+        if c.kind == "absorptive":
+            raise AssertionError("dense absorptive check in classify")
+        return closure_partition(c, domain_size)
+    monkeypatch.setattr(polymorph, "closure_partition", no_absorptive)
+    got = [_verdicts(classify(b, caps)) for b, caps in runs]
+    assert got == want
+    for (b, _), verdicts in zip(runs, got):
+        assert verdicts == VERDICT_TABLE.get(b.name, verdicts), b.name
+    assert sum(b.name in VERDICT_TABLE for b, _ in runs) == 7
 
 
 def test_enumerate_instances_counts():

@@ -67,6 +67,14 @@ def test_parse_render_round_trip():
     assert parse_program(render_program(p)) == p
 
 
+def test_nullary_idb_round_trip():
+    # a nullary IDB keeps its parentheses; only goal is written bare
+    text = "N() :- E(x,y).\ngoal :- E(x,y), N().\n"
+    p = parse_program(text)
+    assert render_program(p) == text
+    assert parse_program(render_program(p)) == p
+
+
 def test_parse_infers_edb_symbols():
     p = parse_program("P(x) :- E(x,y).\ngoal :- E(x,y), P(y).")
     assert "E" in p.signature

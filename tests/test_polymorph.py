@@ -4,14 +4,21 @@ import itertools
 import random
 
 import pytest
+from polymorph_oracle import subset_power_literal
 
 from slamlog.fixtures import (
     b_n,
+    caterpillar_example,
     directed_cycle,
+    f_n,
     horn_sat,
+    non_caterpillar_example,
     path,
     st_con,
     transitive_tournament,
+    unfolding_tree,
+    weak_rules_instance,
+    weak_rules_template,
 )
 from slamlog.homsolver import HomSearcher, WitnessError, is_homomorphism
 from slamlog.polymorph import (
@@ -33,6 +40,7 @@ from slamlog.polymorph import (
     quasi_maltsev,
     quasi_minority,
     render_condition,
+    subset_power_structure,
     totally_symmetric,
     totally_symmetric_check,
 )
@@ -42,7 +50,7 @@ from slamlog.polymorph import (
     _power_codes,
     _tuple_code,
 )
-from slamlog.structures import make_structure
+from slamlog.structures import Signature, Structure, make_structure
 
 
 def _two_element_templates():
@@ -204,6 +212,56 @@ def test_totally_symmetric_check_fixture_values():
         assert set(witness) == set(r.subsets)
     r = totally_symmetric_check(directed_cycle(3))
     assert not r.ok and r.hom is None and r.witness_map() is None
+
+
+# The built-in fixtures the literal subset power can reach; the 13-element
+# unfolded tree would need 8191^2 candidate tuples.
+SUBSET_POWER_FIXTURES = [
+    path(2), path(3), path(4), transitive_tournament(3),
+    transitive_tournament(4), b_n(2), b_n(3), st_con(), horn_sat(),
+    directed_cycle(3), directed_cycle(4), f_n(3), non_caterpillar_example(),
+    weak_rules_template(), weak_rules_instance(), caterpillar_example(),
+    unfolding_tree(),
+]
+
+
+def _random_structures(count, seed):
+    """Seeded structures of 1-4 elements with one to three relations of
+    arity 1-3, each a random set of at most six tuples, and empty in
+    about one case in seven."""
+    rng = random.Random(seed)
+    for i in range(count):
+        size = rng.randint(1, 4)
+        arities = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        rels = []
+        for ar in arities:
+            space = list(itertools.product(range(size), repeat=ar))
+            take = 0 if rng.random() < 0.15 else \
+                rng.randint(1, min(len(space), 6))
+            rels.append(frozenset(rng.sample(space, take)))
+        yield Structure(
+            signature=Signature(tuple((f"R{j}", ar)
+                                      for j, ar in enumerate(arities))),
+            size=size, relations=tuple(rels), name=f"rand{i}")
+
+
+def test_subset_power_closure_equals_the_literal_power():
+    randoms = list(_random_structures(320, seed=4))
+    assert any(not rel for b in randoms for rel in b.relations)
+    assert {ar for b in randoms for _, ar in b.signature.symbols} == {1, 2, 3}
+    assert {b.size for b in randoms} == {1, 2, 3, 4}
+    for b in SUBSET_POWER_FIXTURES + randoms:
+        assert subset_power_structure(b) == subset_power_literal(b), b.name
+
+
+def test_subset_power_closure_counts_against_the_stream_cap():
+    # T4's one relation closes to 27 subset tuples
+    assert len(subset_power_structure(transitive_tournament(4),
+                                      stream_cap=27).relations[0]) == 27
+    with pytest.raises(CapExceeded, match="more than 26 tuples"):
+        subset_power_structure(transitive_tournament(4), stream_cap=26)
+    with pytest.raises(CapExceeded):
+        totally_symmetric_check(transitive_tournament(4), stream_cap=16)
 
 
 # --- absorptive machinery ---------------------------------------------------------
