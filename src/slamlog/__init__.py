@@ -72,7 +72,6 @@ from .polymorph import (
     TotallySymmetricResult,
     absorptive_check,
     block_symmetric_absorptive,
-    brute_force_search,
     canonical_set_system,
     condition_pairs,
     explicit_condition,

@@ -13,10 +13,12 @@ small (k, n) can still refute it, otherwise the verdict is inconclusive.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -268,37 +270,129 @@ def emit_slam(b: Structure, caps: Caps = Caps()) -> Program:
 # Exhaustive sweeps
 # ---------------------------------------------------------------------------
 
+def _tuple_spaces(signature: Signature, size: int, loopless: bool):
+    """Each relation's candidate tuples in `itertools.product` order; with
+    `loopless`, only those without repeated entries."""
+    return [[t for t in itertools.product(range(size), repeat=ar)
+             if not loopless or len(set(t)) == ar]
+            for _, ar in signature.symbols]
+
+
+def _mask_builder(signature: Signature, size: int, spaces):
+    """The map from a bit mask over the concatenated tuple spaces to its
+    structure.  Tuple i of a relation is bit i of that relation's field, and
+    relation 0 has the highest field, so ascending masks run in
+    `itertools.product` order of the per-relation masks."""
+    def build(mask: int) -> Structure:
+        relations = []
+        for sp in reversed(spaces):
+            relations.append(frozenset(
+                t for i, t in enumerate(sp) if (mask >> i) & 1))
+            mask >>= len(sp)
+        return Structure(signature=signature, size=size,
+                         relations=tuple(reversed(relations)), name="A")
+    return build
+
+
 def enumerate_instances(signature: Signature, size: int,
                         loopless: bool = False):
     """All structures with the given exact domain size, every relation
     ranging over every subset of tuples; with `loopless`, only over the
     tuples without repeated entries.  Deterministic order."""
-    spaces = [[t for t in itertools.product(range(size), repeat=ar)
-               if not loopless or len(set(t)) == ar]
-              for _, ar in signature.symbols]
-    for masks in itertools.product(*(range(1 << len(sp)) for sp in spaces)):
-        relations = tuple(
-            frozenset(sp[i] for i in range(len(sp)) if (mask >> i) & 1)
-            for sp, mask in zip(spaces, masks)
-        )
-        yield Structure(signature=signature, size=size, relations=relations,
-                        name="A")
+    spaces = _tuple_spaces(signature, size, loopless)
+    build = _mask_builder(signature, size, spaces)
+    for mask in range(1 << sum(map(len, spaces))):
+        yield build(mask)
+
+
+def _chunk_table(targets) -> list[int]:
+    """For each byte, the OR of `1 << targets[k]` over its set bits k."""
+    table = [0] * (1 << len(targets))
+    for byte in range(1, len(table)):
+        low = byte & -byte
+        table[byte] = table[byte ^ low] | 1 << targets[low.bit_length() - 1]
+    return table
+
+
+def _orbit_columns(spaces, size: int):
+    """Lookup tables for the images of a mask under every permutation of the
+    domain: `columns[c][byte]` holds, per permutation, the image of the bits
+    `byte` of 8-bit chunk c, so a mask's images are the elementwise OR of
+    its chunks' entries."""
+    position = {}
+    offset = 0
+    for r in reversed(range(len(spaces))):
+        for i, t in enumerate(spaces[r]):
+            position[r, t] = offset + i
+        offset += len(spaces[r])
+    tables = []
+    for p in itertools.permutations(range(size)):
+        image = [position[r, tuple(p[e] for e in t)] for r, t in position]
+        tables.append([_chunk_table(image[lo:lo + 8])
+                       for lo in range(0, max(offset, 1), 8)])
+    return [list(zip(*chunk)) for chunk in zip(*tables)]
+
+
+def _orbit_members(build, size: int, orbit):
+    return [((size, mask), build(mask)) for mask in orbit]
 
 
 def _sweep_instances(signature: Signature, size_cap: int):
-    """Every instance up to size 3; from size 4 on only instances without
-    repeated entries in a tuple, to keep the sweep within reach."""
-    if size_cap >= 4 and signature.max_arity() > 2:
-        raise CapExceeded(
-            "sweeps beyond size 3 are only supported for arity <= 2")
-    for size in range(0, size_cap + 1):
-        yield from enumerate_instances(signature, size, loopless=size > 3)
+    """One representative per isomorphism class of the sweep's instances:
+    every instance up to size 3, and from size 4 on only instances without
+    repeated entries in a tuple.
+
+    Yields (representative, orbit size, members), where `members()` lists
+    the labeled orbit as ((size, mask), structure), masks numbered as in
+    `enumerate_instances`.  Each size walks its masks in ascending order
+    over a "seen" array: an unseen mask is the least of its orbit, so it
+    represents its class, and its images under every domain permutation
+    are marked seen.  The array has a byte per labeled instance, so a size
+    with more than DEFAULT_STREAM_CAP of them raises CapExceeded before
+    anything is built."""
+    for size in range(size_cap + 1):
+        bits = sum(math.perm(size, ar) if size > 3 else size ** ar
+                   for _, ar in signature.symbols)
+        if 1 << bits > DEFAULT_STREAM_CAP:
+            raise CapExceeded(
+                f"a sweep of size {size} has 2^{bits} labeled instances, "
+                f"over the stream cap {DEFAULT_STREAM_CAP}")
+    for size in range(size_cap + 1):
+        spaces = _tuple_spaces(signature, size, loopless=size > 3)
+        build = _mask_builder(signature, size, spaces)
+        columns = _orbit_columns(spaces, size)
+        seen = bytearray(1 << sum(map(len, spaces)))
+        mask = 0
+        while mask >= 0:
+            images = columns[0][mask & 255]
+            for c in range(1, len(columns)):
+                images = map(operator.or_, images,
+                             columns[c][(mask >> 8 * c) & 255])
+            orbit = sorted(set(images))
+            for image in orbit:
+                seen[image] = 1
+            yield build(mask), len(orbit), functools.partial(
+                _orbit_members, build, size, orbit)
+            mask = seen.find(0, mask + 1)
+
+
+def _singletons(instances):
+    """An explicit instance stream, each instance its own class."""
+    for i, a in enumerate(instances):
+        yield a, 1, lambda i=i, a=a: [(i, a)]
 
 
 @dataclass(frozen=True)
 class SweepReport:
+    """A sweep's outcome.  `checked` counts labeled instances and `classes`
+    the `check` calls that decided them (one per isomorphism class for the
+    built-in sweep, one per instance for an explicit stream);
+    `counterexamples` holds every labeled failing instance in stream
+    order."""
+
     checked: int
     counterexamples: tuple[Structure, ...]
+    classes: int
 
     @property
     def holds(self) -> bool:
@@ -307,53 +401,66 @@ class SweepReport:
     def to_json(self) -> str:
         return json.dumps({
             "checked": self.checked,
+            "classes": self.classes,
             "holds": self.holds,
             "counterexamples": [render_structure(a)
                                 for a in self.counterexamples],
         }, sort_keys=True, indent=2) + "\n"
 
 
-def _run_sweep(instances, check) -> SweepReport:
-    """Run `check` over the stream, serially and in stream order."""
-    checked = 0
-    bad: list[Structure] = []
-    for a in instances:
-        checked += 1
-        if not check(a):
-            bad.append(a)
-    return SweepReport(checked=checked, counterexamples=tuple(bad))
+def _run_sweep(classes, check) -> SweepReport:
+    """Run `check` once per class, serially and in stream order.  `classes`
+    yields (representative, orbit size, members) as `_sweep_instances`
+    does.  A failing class contributes all its members, and the
+    counterexamples are sorted back into stream order by their keys."""
+    checked = count = 0
+    bad = []
+    for representative, orbit_size, members in classes:
+        count += 1
+        checked += orbit_size
+        if not check(representative):
+            bad.extend(members())
+    bad.sort(key=lambda member: member[0])
+    return SweepReport(checked=checked, classes=count,
+                       counterexamples=tuple(a for _, a in bad))
+
+
+def _sweep_classes(signature: Signature, size_cap, instances):
+    if instances is not None:
+        return _singletons(instances)
+    if size_cap is None:
+        raise ValueError("need size_cap or an explicit instance stream")
+    return _sweep_instances(signature, size_cap)
 
 
 def verify_program_solves(p: Program, b: Structure,
                           size_cap: int | None = None,
                           instances=None, jobs: int = 1) -> SweepReport:
     """Check that the program derives the goal exactly on the instances
-    with no homomorphism to the template.  `jobs` is accepted and ignored:
-    sweeps run serially."""
-    if instances is None:
-        if size_cap is None:
-            raise ValueError("need size_cap or an explicit instance stream")
-        instances = _sweep_instances(b.signature, size_cap)
+    with no homomorphism to the template, checking one instance per
+    isomorphism class unless `instances` is given.  `jobs` is accepted and
+    ignored: sweeps run serially."""
+    classes = _sweep_classes(b.signature, size_cap, instances)
 
     def check(a: Structure) -> bool:
         goal = evaluate(p, a, stop_at_goal=True).goal
         sat = find_homomorphism(a, b) is not None
         return goal == (not sat)
 
-    return _run_sweep(instances, check)
+    return _run_sweep(classes, check)
 
 
 def verify_duality_pair(obstructions, b: Structure, size_cap: int,
                         jobs: int = 1, instances=None) -> SweepReport:
     """Check that mapping from no obstruction coincides with mapping into
-    the template, over all instances up to the size cap.  `jobs` is
+    the template, over all instances up to the size cap, checking one
+    instance per isomorphism class unless `instances` is given.  `jobs` is
     accepted and ignored: sweeps run serially."""
     obstructions = tuple(obstructions)
     for f in obstructions:
         if f.signature != b.signature:
             raise ValueError("obstruction signature mismatch")
-    if instances is None:
-        instances = _sweep_instances(b.signature, size_cap)
+    classes = _sweep_classes(b.signature, size_cap, instances)
 
     def check(a: Structure) -> bool:
         blocked = any(find_homomorphism(f, a) is not None
@@ -361,4 +468,4 @@ def verify_duality_pair(obstructions, b: Structure, size_cap: int,
         sat = find_homomorphism(a, b) is not None
         return blocked == (not sat)
 
-    return _run_sweep(instances, check)
+    return _run_sweep(classes, check)

@@ -7,13 +7,12 @@ the quotient maps homomorphically back to the template.
 
 Every reading of the m-th power goes through one kernel, `_power_codes`,
 which streams the mixed-radix column codes of the m-tuples of one relation
-and owns the stream cap: the indicator, the polymorphism check of an
-operation table and the exhaustive table search all use it.
+and owns the stream cap: the indicator and the polymorphism check of an
+operation table use it.
 
 The subset power and the set systems of absorptive conditions are built
 from their generators, not from the power; the dense indicator stays as the
-oracle for set systems, and an exhaustive table search as an independent
-oracle at small arities.
+oracle for set systems.
 """
 
 from __future__ import annotations
@@ -707,78 +706,6 @@ def _binary_polymorphism(table, rel_rows, arities) -> bool:
                 if tuple(table[t[i]][u[i]] for i in range(ar)) not in rel:
                     return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive search oracle
-# ---------------------------------------------------------------------------
-
-def brute_force_search(
-    b: Structure,
-    c: MinorCondition,
-    arity_cap: int = 3,
-) -> OperationTable | None:
-    """Complete table search with forced-equality propagation and early
-    preservation pruning.  Ground truth for the indicator construction."""
-    if c.arity > arity_cap:
-        raise CapExceeded(f"arity {c.arity} above cap {arity_cap}")
-    n = b.size
-    m = c.arity
-    total = n ** m
-    links: list[list[int]] = [[] for _ in range(total)]
-    for s, t in condition_pairs(c, n):
-        cs, ct = _tuple_code(s, n), _tuple_code(t, n)
-        if cs != ct:
-            links[cs].append(ct)
-            links[ct].append(cs)
-    buckets: list[list[tuple[tuple[int, ...], frozenset]]] = [
-        [] for _ in range(total)
-    ]
-    for rel in b.relations:
-        for codes in _power_codes(sorted(rel), m, n, DEFAULT_STREAM_CAP):
-            buckets[max(codes)].append((codes, rel))
-    values: list[int | None] = [None] * total
-
-    def assign(code: int, v: int, trail: list[int]) -> bool:
-        stack = [(code, v)]
-        while stack:
-            cur, val = stack.pop()
-            if values[cur] is not None:
-                if values[cur] != val:
-                    return False
-                continue
-            values[cur] = val
-            trail.append(cur)
-            for other in links[cur]:
-                stack.append((other, val))
-        return True
-
-    def consistent_at(code: int) -> bool:
-        for codes, rel in buckets[code]:
-            if any(values[x] is None for x in codes):
-                continue
-            if tuple(values[x] for x in codes) not in rel:
-                return False
-        return True
-
-    def search(pos: int) -> bool:
-        if pos == total:
-            return True
-        if values[pos] is not None:
-            return consistent_at(pos) and search(pos + 1)
-        for v in range(n):
-            trail: list[int] = []
-            if assign(pos, v, trail) and consistent_at(pos) and search(pos + 1):
-                return True
-            for cur in trail:
-                values[cur] = None
-        return False
-
-    if not search(0):
-        return None
-    table = OperationTable(arity=m, size=n, values=tuple(values))
-    _check_witness(table, c, b)
-    return table
 
 
 # ---------------------------------------------------------------------------

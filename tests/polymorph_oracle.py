@@ -1,15 +1,29 @@
-"""Literal subset-power construction, kept as the oracle for
-`polymorph.subset_power_structure`.
+"""Oracles for `slamlog.polymorph`, usable only on small inputs.
 
-It checks every one of the (2^|B| - 1)^arity candidate subset tuples of a
-relation against every row, straight from the definition, so it is only
-usable on small domains.
+`subset_power_literal` is the literal subset-power construction, kept as
+the oracle for `polymorph.subset_power_structure`: it checks every one of
+the (2^|B| - 1)^arity candidate subset tuples of a relation against every
+row, straight from the definition.
+
+`brute_force_search` is an exhaustive operation-table search, the oracle
+for the indicator construction.  Only arity is capped, and its time grows
+with |B|^(|B|^arity), so keep it to two- and three-element templates.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from slamlog.polymorph import (
+    DEFAULT_STREAM_CAP,
+    CapExceeded,
+    MinorCondition,
+    OperationTable,
+    _check_witness,
+    _power_codes,
+    _tuple_code,
+    condition_pairs,
+)
 from slamlog.structures import Structure
 
 
@@ -53,3 +67,71 @@ def subset_power_literal(b: Structure) -> Structure:
         relations=tuple(rels),
         name=f"pow({b.name})" if b.name else "",
     )
+
+
+def brute_force_search(
+    b: Structure,
+    c: MinorCondition,
+    arity_cap: int = 3,
+) -> OperationTable | None:
+    """Complete table search with forced-equality propagation and early
+    preservation pruning.  Ground truth for the indicator construction."""
+    if c.arity > arity_cap:
+        raise CapExceeded(f"arity {c.arity} above cap {arity_cap}")
+    n = b.size
+    m = c.arity
+    total = n ** m
+    links: list[list[int]] = [[] for _ in range(total)]
+    for s, t in condition_pairs(c, n):
+        cs, ct = _tuple_code(s, n), _tuple_code(t, n)
+        if cs != ct:
+            links[cs].append(ct)
+            links[ct].append(cs)
+    buckets: list[list[tuple[tuple[int, ...], frozenset]]] = [
+        [] for _ in range(total)
+    ]
+    for rel in b.relations:
+        for codes in _power_codes(sorted(rel), m, n, DEFAULT_STREAM_CAP):
+            buckets[max(codes)].append((codes, rel))
+    values: list[int | None] = [None] * total
+
+    def assign(code: int, v: int, trail: list[int]) -> bool:
+        stack = [(code, v)]
+        while stack:
+            cur, val = stack.pop()
+            if values[cur] is not None:
+                if values[cur] != val:
+                    return False
+                continue
+            values[cur] = val
+            trail.append(cur)
+            for other in links[cur]:
+                stack.append((other, val))
+        return True
+
+    def consistent_at(code: int) -> bool:
+        for codes, rel in buckets[code]:
+            if any(values[x] is None for x in codes):
+                continue
+            if tuple(values[x] for x in codes) not in rel:
+                return False
+        return True
+
+    def search(pos: int) -> bool:
+        if pos == total:
+            return True
+        if values[pos] is not None:
+            return consistent_at(pos) and search(pos + 1)
+        for v in range(n):
+            trail: list[int] = []
+            if assign(pos, v, trail) and consistent_at(pos) and search(pos + 1):
+                return True
+            for cur in trail:
+                values[cur] = None
+        return False
+
+    if not search(0):
+        return None
+    table = OperationTable(arity=m, size=n, values=tuple(values))
+    _check_witness(table, c, b)
+    return table

@@ -12,6 +12,8 @@ import json
 import random
 import time
 
+from polymorph_oracle import brute_force_search
+
 from slamlog.classify import (
     classify,
     emit_slam,
@@ -43,7 +45,6 @@ from slamlog.gadget import apply_gadget_reduction, parse_ppower_spec, pp_power
 from slamlog.homsolver import find_homomorphism, find_isomorphism
 from slamlog.polymorph import (
     absorptive_check,
-    brute_force_search,
     find_polymorphism_satisfying,
     quasi_majority,
     quasi_maltsev,

@@ -37,7 +37,8 @@ def test_tracer_wraps_and_restores_the_traced_names(monkeypatch):
     counts = t.take()
     for name in ("polymorph.closure_partition", "polymorph.absorptive",
                  "homsolver.find", "classify.classify", "classify.sweep",
-                 "datalog.evaluate", "datalog.canonical_program"):
+                 "classify.sweep.enumerate", "datalog.evaluate",
+                 "datalog.canonical_program"):
         assert counts.get(name + ".calls", 0) > 0, name
     assert counts.get("datalog.evaluate.facts", 0) > 0
     assert (slamlog.classify, polymorph.closure_partition,

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 
 import pytest
 from test_acceptance import VERDICT_TABLE
@@ -9,6 +11,7 @@ from slamlog import polymorph
 from slamlog.classify import (
     Caps,
     NotSlam,
+    _sweep_instances,
     classify,
     emit_slam,
     enumerate_instances,
@@ -28,8 +31,8 @@ from slamlog.fixtures import (
     transitive_tournament,
     weak_rules_template,
 )
-from slamlog.polymorph import condition_pairs, quasi_maltsev
-from slamlog.structures import Signature
+from slamlog.polymorph import CapExceeded, condition_pairs, quasi_maltsev
+from slamlog.structures import Signature, make_structure
 
 
 EXPECTED = {
@@ -210,3 +213,121 @@ def test_sweep_report_json():
     blob = json.loads(rep.to_json())
     assert blob["holds"] is True
     assert blob["checked"] == rep.checked
+
+
+# --- isomorph-free sweeps against the labeled oracle --------------------------
+
+DIGRAPH = Signature((("E", 2),))
+MIXED = Signature((("U", 1), ("E", 2)))
+
+
+def _labeled(signature, size_cap):
+    """The labeled stream the built-in sweep stands for: every instance up
+    to size 3, loopless ones from size 4 on."""
+    for size in range(size_cap + 1):
+        yield from enumerate_instances(signature, size, loopless=size > 3)
+
+
+def _without_classes(report):
+    blob = json.loads(report.to_json())
+    del blob["classes"]
+    return blob
+
+
+def _assert_matches_labeled(sweep):
+    """`sweep(labeled)` run isomorph-free and over the labeled stream
+    must check the same instances, give the same verdict and list the same
+    counterexamples in the same order."""
+    fast = sweep(None)
+    slow = sweep(True)
+    assert fast.checked == slow.checked
+    assert fast.holds == slow.holds
+    assert fast.counterexamples == slow.counterexamples
+    assert _without_classes(fast) == _without_classes(slow)
+    assert slow.classes == slow.checked
+    assert fast.classes < fast.checked
+    return fast
+
+
+@pytest.mark.parametrize("obstruction, template, failures", [
+    (path(3), path(2), (0, 0)),
+    (path(4), transitive_tournament(3), (0, 0)),
+    (path(4), path(2), (12, 276)),
+    (path(3), path(3), (6, 114)),
+    (path(2), path(2), (14, 100)),
+], ids=["P3-P2", "P4-T3", "P4-P2", "P3-P3", "P2-P2"])
+@pytest.mark.parametrize("size_cap", [3, 4])
+def test_isomorph_free_duality_sweep_matches_labeled(obstruction, template,
+                                                     failures, size_cap):
+    def sweep(labeled):
+        return verify_duality_pair(
+            [obstruction], template, size_cap,
+            instances=_labeled(DIGRAPH, size_cap) if labeled else None)
+    rep = _assert_matches_labeled(sweep)
+    assert len(rep.counterexamples) == failures[size_cap - 3]
+    assert (rep.checked, rep.classes) == {3: (531, 117),
+                                          4: (4627, 335)}[size_cap]
+
+
+@pytest.mark.parametrize("template, failures", [
+    (path(2), 0), (transitive_tournament(3), 501)], ids=["P2", "T3"])
+def test_isomorph_free_program_sweep_matches_labeled(template, failures):
+    program = canonical_program(template, "slam")
+
+    def sweep(labeled):
+        return verify_program_solves(
+            program, template, 3,
+            instances=_labeled(DIGRAPH, 3) if labeled else None)
+    rep = _assert_matches_labeled(sweep)
+    assert len(rep.counterexamples) == failures
+
+
+def test_isomorph_free_sweep_matches_labeled_on_two_symbols():
+    # U/1 takes the high bits of a mask and E/2 the low ones, so ascending
+    # masks must still be the labeled stream's order
+    template = make_structure("B", MIXED.symbols, 2,
+                              {"U": {(1,)}, "E": {(0, 1)}})
+    obstruction = make_structure("F", MIXED.symbols, 2,
+                                 {"U": {(0,)}, "E": {(1, 0)}})
+
+    def sweep(labeled):
+        return verify_duality_pair(
+            [obstruction], template, 3,
+            instances=_labeled(MIXED, 3) if labeled else None)
+    rep = _assert_matches_labeled(sweep)
+    assert rep.checked == 1 + 4 + 64 + 4096 and rep.classes == 793
+    assert len(rep.counterexamples) > 100
+
+
+@pytest.mark.parametrize("signature, size_cap, classes", [
+    (DIGRAPH, 5, [1, 2, 10, 104, 218, 9608]),   # OEIS A000595, A000273
+    (MIXED, 3, [1, 4, 36, 752]),
+], ids=["digraphs", "U-E"])
+def test_class_counts_and_orbit_sums(signature, size_cap, classes):
+    count, labeled = Counter(), Counter()
+    for rep, orbit_size, _ in _sweep_instances(signature, size_cap):
+        count[rep.size] += 1
+        labeled[rep.size] += orbit_size
+    assert [count[s] for s in range(size_cap + 1)] == classes
+    bits = [sum(s ** ar if s <= 3 else math.perm(s, ar)
+                for _, ar in signature.symbols) for s in range(size_cap + 1)]
+    assert [labeled[s] for s in range(size_cap + 1)] == [2 ** b for b in bits]
+
+
+def test_orbits_partition_the_labeled_stream():
+    labeled = list(_labeled(DIGRAPH, 4))
+    members = [a for _, _, orbit in _sweep_instances(DIGRAPH, 4)
+               for _, a in orbit()]
+    assert len(members) == len(labeled) == 4627
+    assert Counter(members) == Counter(labeled)
+
+
+def test_sweep_over_the_stream_cap_raises_before_sweeping():
+    with pytest.raises(CapExceeded, match="size 6 has 2\\^30"):
+        verify_duality_pair([path(3)], path(2), 6)
+    ternary = make_structure("R", (("R", 3),), 2, {"R": {(0, 0, 1)}})
+    with pytest.raises(CapExceeded, match="size 3 has 2\\^27"):
+        verify_duality_pair([ternary], ternary, 3)
+    # size 2 is within the cap: 1 + 2^1 + 2^8 instances
+    assert verify_duality_pair([ternary], ternary, 2).checked == 259
+

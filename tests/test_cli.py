@@ -168,6 +168,20 @@ def test_verify_solves(files, capsys, tmp_path):
     assert blob["holds"] is True and blob["checked"] == 531
 
 
+def test_verify_reports_labeled_instances_and_classes(files, capsys):
+    assert main(["verify", "duality", files["p2"], files["p3"],
+                 "--size", "4"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert (blob["checked"], blob["classes"]) == (4627, 335)
+
+
+def test_verify_over_the_stream_cap_exits_2(files, capsys):
+    # loopless digraphs on 6 vertices: 2^30 labeled instances
+    assert main(["verify", "duality", files["p2"], files["p3"],
+                 "--size", "6"]) == 2
+    assert "stream cap" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_clean_error(files, capsys):
     assert main(["classify", str(files["dir"] / "nope.txt")]) == 2
     assert "error:" in capsys.readouterr().err

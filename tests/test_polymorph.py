@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from polymorph_oracle import subset_power_literal
+from polymorph_oracle import brute_force_search, subset_power_literal
 
 from slamlog.fixtures import (
     b_n,
@@ -27,7 +27,6 @@ from slamlog.polymorph import (
     OperationTable,
     absorptive_check,
     block_symmetric_absorptive,
-    brute_force_search,
     canonical_set_system,
     closure_partition,
     condition_pairs,
