@@ -13,12 +13,10 @@ small (k, n) can still refute it, otherwise the verdict is inconclusive.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -314,27 +312,26 @@ def _chunk_table(targets) -> list[int]:
     return table
 
 
-def _orbit_columns(spaces, size: int):
-    """Lookup tables for the images of a mask under every permutation of the
-    domain: `columns[c][byte]` holds, per permutation, the image of the bits
-    `byte` of 8-bit chunk c, so a mask's images are the elementwise OR of
-    its chunks' entries."""
+def _generator_tables(spaces, size: int):
+    """Lookup tables for the images of a mask under a transposition and a
+    cycle of the domain, which together generate all its permutations: per
+    generator, a (shift, table) pair per 8-bit chunk of the mask, where
+    `table[byte]` is the image of the bits `byte` at that shift, so a
+    mask's image is the OR of its chunks' entries."""
     position = {}
     offset = 0
     for r in reversed(range(len(spaces))):
         for i, t in enumerate(spaces[r]):
             position[r, t] = offset + i
         offset += len(spaces[r])
+    swap, cycle = (1, 0, *range(2, size)), (*range(1, size), 0)
+    generators = [swap, cycle] if size > 2 else [swap] if size == 2 else []
     tables = []
-    for p in itertools.permutations(range(size)):
+    for p in generators:
         image = [position[r, tuple(p[e] for e in t)] for r, t in position]
-        tables.append([_chunk_table(image[lo:lo + 8])
-                       for lo in range(0, max(offset, 1), 8)])
-    return [list(zip(*chunk)) for chunk in zip(*tables)]
-
-
-def _orbit_members(build, size: int, orbit):
-    return [((size, mask), build(mask)) for mask in orbit]
+        tables.append([(lo, _chunk_table(image[lo:lo + 8]))
+                       for lo in range(0, offset, 8)])
+    return tables
 
 
 def _sweep_instances(signature: Signature, size_cap: int):
@@ -346,8 +343,10 @@ def _sweep_instances(signature: Signature, size_cap: int):
     the labeled orbit as ((size, mask), structure), masks numbered as in
     `enumerate_instances`.  Each size walks its masks in ascending order
     over a "seen" array: an unseen mask is the least of its orbit, so it
-    represents its class, and its images under every domain permutation
-    are marked seen.  The array has a byte per labeled instance, so a size
+    represents its class, and the orbit is its closure under the two
+    generators of the domain's permutations, each member marked seen as it
+    is reached.  The work is thus linear in the labeled instances, never in
+    the permutations.  The array has a byte per labeled instance, so a size
     with more than DEFAULT_STREAM_CAP of them raises CapExceeded before
     anything is built."""
     for size in range(size_cap + 1):
@@ -360,19 +359,23 @@ def _sweep_instances(signature: Signature, size_cap: int):
     for size in range(size_cap + 1):
         spaces = _tuple_spaces(signature, size, loopless=size > 3)
         build = _mask_builder(signature, size, spaces)
-        columns = _orbit_columns(spaces, size)
+        generators = _generator_tables(spaces, size)
         seen = bytearray(1 << sum(map(len, spaces)))
         mask = 0
         while mask >= 0:
-            images = columns[0][mask & 255]
-            for c in range(1, len(columns)):
-                images = map(operator.or_, images,
-                             columns[c][(mask >> 8 * c) & 255])
-            orbit = sorted(set(images))
-            for image in orbit:
-                seen[image] = 1
-            yield build(mask), len(orbit), functools.partial(
-                _orbit_members, build, size, orbit)
+            seen[mask] = 1
+            orbit = [mask]
+            for member in orbit:
+                for chunks in generators:
+                    image = 0
+                    for shift, table in chunks:
+                        image |= table[member >> shift & 255]
+                    if not seen[image]:
+                        seen[image] = 1
+                        orbit.append(image)
+            yield build(mask), len(orbit), \
+                lambda orbit=orbit, size=size, build=build: [
+                    ((size, m), build(m)) for m in sorted(orbit)]
             mask = seen.find(0, mask + 1)
 
 

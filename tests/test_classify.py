@@ -302,7 +302,9 @@ def test_isomorph_free_sweep_matches_labeled_on_two_symbols():
 @pytest.mark.parametrize("signature, size_cap, classes", [
     (DIGRAPH, 5, [1, 2, 10, 104, 218, 9608]),   # OEIS A000595, A000273
     (MIXED, 3, [1, 4, 36, 752]),
-], ids=["digraphs", "U-E"])
+    # 2^n labeled instances on n elements but n! permutations of them
+    (Signature((("U", 1),)), 10, list(range(1, 12))),
+], ids=["digraphs", "U-E", "unary"])
 def test_class_counts_and_orbit_sums(signature, size_cap, classes):
     count, labeled = Counter(), Counter()
     for rep, orbit_size, _ in _sweep_instances(signature, size_cap):
