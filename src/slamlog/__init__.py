@@ -6,6 +6,9 @@ fragment of Datalog, emits the canonical program when it is, and bundles
 the machinery behind that decision: homomorphism search, polymorphism
 detection through indicator structures, Datalog fragment evaluation with
 derivation traces, caterpillar unfoldings, and pp-power gadget reductions.
+
+`slamlog.classify` is the submodule; the function is
+`slamlog.classify.classify`.
 """
 
 from .classify import (
@@ -14,7 +17,6 @@ from .classify import (
     NotSlam,
     SweepReport,
     Verdict,
-    classify,
     emit_slam,
     enumerate_instances,
     verify_duality_pair,

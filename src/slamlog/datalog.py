@@ -316,8 +316,10 @@ class EvalResult:
     trace: Derivation | None
 
 
-def _compile_rule(rule: Rule, sig: Signature):
-    """Precompute the grounding plan for one rule.
+def _rule_plan(rule: Rule, sig: Signature):
+    """The grounding plan of every rule of rule's shape (head args and, per
+    body atom, whether it is EDB and its args), with body atoms named by
+    their index instead of their predicate.
 
     Arc rules (one EDB atom binding every variable) ground by position
     indexing into the rows of that atom; everything else goes through the
@@ -325,19 +327,33 @@ def _compile_rule(rule: Rule, sig: Signature):
     """
     variables = tuple(dict.fromkeys(
         [v for atom in (rule.head, *rule.body) for v in atom.args]))
-    edb, idb = _body_split(rule, sig)
+    edb = [i for i, atom in enumerate(rule.body) if atom.pred in sig]
+    idb = [i for i, atom in enumerate(rule.body) if atom.pred not in sig]
 
-    if len(edb) == 1 and set(variables) <= set(edb[0].args):
-        args = edb[0].args
+    if len(edb) == 1 and set(variables) <= set(rule.body[edb[0]].args):
+        args = rule.body[edb[0]].args
         pos = {v: args.index(v) for v in variables}
         # each repeated position paired with the first one of its variable
         eq_pairs = tuple([(pos[v], i) for i, v in enumerate(args)
                           if pos[v] != i])
-        return ("arc", variables, edb[0].pred, eq_pairs, tuple(pos.values()),
-                rule.head.pred, tuple([pos[v] for v in rule.head.args]),
-                tuple([(atom.pred, tuple([pos[v] for v in atom.args]))
-                       for atom in idb]))
-    return ("gen", variables, tuple(edb), rule.head, tuple(idb))
+        return ("arc", variables, edb[0], eq_pairs, tuple(pos.values()),
+                tuple([pos[v] for v in rule.head.args]),
+                tuple([(i, tuple([pos[v] for v in rule.body[i].args]))
+                       for i in idb]))
+    return ("gen", variables, tuple(edb), tuple(idb))
+
+
+def _compile_rule(rule: Rule, plan):
+    """The plan of rule's shape with rule's predicates put in."""
+    body = rule.body
+    if plan[0] == "arc":
+        kind, variables, e, eq_pairs, var_pos, head_pos, idb = plan
+        return (kind, variables, body[e].pred, eq_pairs, var_pos,
+                rule.head.pred, head_pos,
+                tuple([(body[i].pred, poss) for i, poss in idb]))
+    kind, variables, edb, idb = plan
+    return (kind, variables, tuple([body[i] for i in edb]), rule.head,
+            tuple([body[i] for i in idb]))
 
 
 # id(program) -> (weak reference to it, compiled rules, linear flag, users).
@@ -349,25 +365,50 @@ _COMPILED_CACHE: dict[int, tuple] = {}
 def _compiled_rules(p: Program) -> tuple[tuple, bool, dict]:
     """The compiled rules of p; whether every body has at most one IDB atom
     (the linear fragment, which decides whether a trace is kept); and, for
-    each IDB predicate, the rules whose bodies use it in ascending order,
-    each with the distinct atom positions that carry it (None for a rule
-    that is not an arc rule)."""
+    each IDB predicate, the rules whose bodies use it in ascending order.
+
+    A rule that is not an arc rule is listed as (None, rule index).  Arc
+    rules are listed in runs: consecutive rules with the same EDB predicate,
+    distinct positions of the predicate in the atom (its keys), equality
+    pairs, head positions and IDB body atoms, which differ only in their
+    head predicate, as (keys, EDB predicate, equality pairs, head
+    positions, IDB body atoms, [(rule index, head predicate), ...]).
+    Plans are compiled once per rule shape; canonical programs have few."""
     entry = _COMPILED_CACHE.get(id(p))
     if entry is not None and entry[0]() is p:
         return entry[1:]
-    compiled = tuple(_compile_rule(rule, p.signature) for rule in p.rules)
-    linear = all(len(c[7] if c[0] == "arc" else c[4]) <= 1 for c in compiled)
-    users: dict[str, dict] = {}     # IDB predicate -> rule index -> positions
-    for rule_idx, c in enumerate(compiled):
-        if c[0] == "arc":
-            for q, poss in c[7]:
-                users.setdefault(q, {}).setdefault(rule_idx, {})[poss] = None
-        else:
-            for atom in c[4]:
-                users.setdefault(atom.pred, {})[rule_idx] = None
-    users = {q: tuple((rule_idx, keys and tuple(keys))
-                      for rule_idx, keys in by_rule.items())
-             for q, by_rule in users.items()}
+    sig = p.signature
+    edb = frozenset(sig.names())
+    plans: dict = {}
+    compiled = []
+    linear = True
+    users: dict[str, list] = {}     # IDB predicate -> entries, as above
+    for rule_idx, rule in enumerate(p.rules):
+        shape = (rule.head.args,
+                 tuple([(atom.pred in edb, atom.args) for atom in rule.body]))
+        plan = plans.get(shape)
+        if plan is None:
+            plan = plans[shape] = _rule_plan(rule, sig)
+        c = _compile_rule(rule, plan)
+        compiled.append(c)
+        if c[0] != "arc":
+            linear = linear and len(c[4]) <= 1
+            for q in dict.fromkeys([atom.pred for atom in c[4]]):
+                users.setdefault(q, []).append((None, rule_idx))
+            continue
+        _, _, pred, eq_pairs, _, head_pred, head_pos, idb_pos = c
+        linear = linear and len(idb_pos) <= 1
+        by_q: dict = {}             # IDB predicate -> its distinct positions
+        for q, poss in idb_pos:
+            by_q.setdefault(q, {})[poss] = None
+        for q, keys in by_q.items():
+            run = (tuple(keys), pred, eq_pairs, head_pos, idb_pos)
+            entries = users.setdefault(q, [])
+            if entries and entries[-1][:5] == run:
+                entries[-1][5].append((rule_idx, head_pred))
+            else:
+                entries.append((*run, [(rule_idx, head_pred)]))
+    compiled = tuple(compiled)
     _COMPILED_CACHE[id(p)] = (weakref.ref(p), compiled, linear, users)
     weakref.finalize(p, _COMPILED_CACHE.pop, id(p), None).atexit = False
     return compiled, linear, users
@@ -409,6 +450,8 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
     its predicate is grounded against just the EDB rows that agree with the
     fact, and a ground instance fires once all of its IDB body facts have
     been popped; rules are visited in index order and rows in sorted order.
+    A run of arc rules that differ only in their head predicate looks the
+    rows up and filters them once, then fires rule by rule over them.
     Every fact is therefore derived by the same instance, and facts, goal
     and trace are equal to those of grounding every rule against every tuple
     up front.  The first derivation of each fact is remembered, so traces
@@ -464,8 +507,9 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
     while queue and not stop:
         fact = queue.popleft()
         popped.add(fact)
-        for rule_idx, keys in users.get(fact[0], ()):
-            if keys is None:
+        for entry in users.get(fact[0], ()):
+            if entry[0] is None:
+                rule_idx = entry[1]
                 for bindings, head, body in waiting.get((rule_idx, fact), ()):
                     if head in provenance or \
                             not all(f in popped for f in body):
@@ -473,17 +517,16 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
                     if stop := derive(head, rule_idx, bindings, body):
                         break
             else:
-                _, _, pred, eq_pairs, _, head_pred, head_pos, idb_pos = \
-                    compiled_rules[rule_idx]
+                keys, pred, eq_pairs, head_pos, idb_pos, heads = entry
                 if len(keys) == 1:
                     rows = rows_at(pred, keys[0], fact[1])
                 else:
                     rows = sorted({t for poss in keys
                                    for t in rows_at(pred, poss, fact[1])})
+                # the rows every rule of the run fires on, with head args
+                ready = []
                 for t in rows:
-                    head = (head_pred, tuple([t[i] for i in head_pos]))
-                    if head in provenance or \
-                            not all(t[i] == t[j] for i, j in eq_pairs):
+                    if eq_pairs and not all(t[i] == t[j] for i, j in eq_pairs):
                         continue
                     if len(idb_pos) == 1:   # the row agrees with the fact
                         body = (fact,)
@@ -492,7 +535,15 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
                                       for q, poss in idb_pos])
                         if not all(f in popped for f in body):
                             continue
-                    if stop := derive(head, rule_idx, t, body):
+                    ready.append((t, tuple([t[i] for i in head_pos]), body))
+                # rule-major, as if each rule of the run were visited alone
+                for rule_idx, head_pred in heads:
+                    for t, args, body in ready:
+                        head = (head_pred, args)
+                        if head not in provenance and \
+                                (stop := derive(head, rule_idx, t, body)):
+                            break
+                    if stop:
                         break
             if stop:
                 break
@@ -565,6 +616,7 @@ def canonical_program(b: Structure, fragment: str) -> Program:
                 f"{DEFAULT_STREAM_CAP}")
     subsets = [frozenset(v for v in range(n) if (mask >> v) & 1)
                for mask in range(1 << n)]
+    names = {s: subset_name(s) for s in subsets}
     rules: list[Rule] = []
 
     def atom_vars(r):
@@ -576,13 +628,14 @@ def canonical_program(b: Structure, fragment: str) -> Program:
     for sym, r, rel in b.relation_items():
         rows = sorted(rel)
         variables = atom_vars(r)
+        edb = edb_atom(sym, r)
         for y in range(r):
             proj = frozenset(t[y] for t in rows)
             for s in subsets:
                 if proj <= s:
                     rules.append(Rule(
-                        head=Atom(subset_name(s), (variables[y],)),
-                        body=(edb_atom(sym, r),),
+                        head=Atom(names[s], (variables[y],)),
+                        body=(edb,),
                     ))
 
     def moved(rows, constraints, y):
@@ -595,21 +648,24 @@ def canonical_program(b: Structure, fragment: str) -> Program:
     for sym, r, rel in b.relation_items():
         rows = sorted(rel)
         variables = atom_vars(r)
+        edb = edb_atom(sym, r)
         if fragment in ("lam", "slam"):
             for y in range(r):
                 for x in range(r):
-                    for s in subsets:
-                        for t in subsets:
-                            if not moved(rows, ((x, t),), y) <= s:
+                    # images of every subset from x to y and back
+                    forth = [moved(rows, ((x, t),), y) for t in subsets]
+                    back = [moved(rows, ((y, s),), x) for s in subsets]
+                    for s, back_s in zip(subsets, back):
+                        for t, forth_t in zip(subsets, forth):
+                            if not forth_t <= s:
                                 continue
-                            if fragment == "slam" and \
-                                    not moved(rows, ((y, s),), x) <= t:
+                            if fragment == "slam" and not back_s <= t:
                                 continue
                             rules.append(Rule(
-                                head=Atom(subset_name(s), (variables[y],)),
+                                head=Atom(names[s], (variables[y],)),
                                 body=(
-                                    edb_atom(sym, r),
-                                    Atom(subset_name(t), (variables[x],)),
+                                    edb,
+                                    Atom(names[t], (variables[x],)),
                                 ),
                             ))
         else:
@@ -619,14 +675,15 @@ def canonical_program(b: Structure, fragment: str) -> Program:
                     for combo in itertools.product(subsets,
                                                    repeat=len(positions)):
                         constraints = tuple(zip(positions, combo))
+                        image = moved(rows, constraints, y)
                         for s in subsets:
-                            if moved(rows, constraints, y) <= s:
+                            if image <= s:
                                 rules.append(Rule(
-                                    head=Atom(subset_name(s),
+                                    head=Atom(names[s],
                                               (variables[y],)),
                                     body=(
-                                        edb_atom(sym, r),
-                                        *(Atom(subset_name(tx),
+                                        edb,
+                                        *(Atom(names[tx],
                                                (variables[x],))
                                           for x, tx in constraints),
                                     ),
@@ -635,6 +692,7 @@ def canonical_program(b: Structure, fragment: str) -> Program:
     for sym, r, rel in b.relation_items():
         rows = sorted(rel)
         variables = atom_vars(r)
+        edb = edb_atom(sym, r)
         if fragment in ("lam", "slam"):
             for x in range(r):
                 for t in subsets:
@@ -642,8 +700,8 @@ def canonical_program(b: Structure, fragment: str) -> Program:
                         rules.append(Rule(
                             head=Atom(GOAL, ()),
                             body=(
-                                edb_atom(sym, r),
-                                Atom(subset_name(t), (variables[x],)),
+                                edb,
+                                Atom(names[t], (variables[x],)),
                             ),
                         ))
         else:
@@ -659,8 +717,8 @@ def canonical_program(b: Structure, fragment: str) -> Program:
                         rules.append(Rule(
                             head=Atom(GOAL, ()),
                             body=(
-                                edb_atom(sym, r),
-                                *(Atom(subset_name(tx), (variables[x],))
+                                edb,
+                                *(Atom(names[tx], (variables[x],))
                                   for x, tx in constraints),
                             ),
                         ))
@@ -752,14 +810,17 @@ def repair_to_symmetric(d: Derivation, b: Structure) -> Derivation:
     goal_rule = d.program.rules[goal_step.rule_index]
     goal_edb, goal_idb = _step_pieces(goal_rule, sig)
     slam = canonical_program(b, "slam")
-    slam_index = {canonical_rule_key(r): i for i, r in enumerate(slam.rules)}
 
     def locate(rule: Rule) -> int:
+        """The index of the last slam rule equal to rule up to renaming."""
         key = canonical_rule_key(rule)
-        if key not in slam_index:
-            raise RepairFailed(f"rule {rule.render()!r} missing from the "
-                               "canonical slam program")
-        return slam_index[key]
+        for i in reversed(range(len(slam.rules))):
+            other = slam.rules[i]
+            if other.head.pred == rule.head.pred and \
+                    canonical_rule_key(other) == key:
+                return i
+        raise RepairFailed(f"rule {rule.render()!r} missing from the "
+                           "canonical slam program")
 
     if goal_idb is None:
         # empty-relation goal rule, already symmetric

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import types
 from collections import Counter
 
 import pytest
@@ -54,6 +55,14 @@ FIXTURES = {
     "HornSat": horn_sat(),
     "C3": directed_cycle(3),
 }
+
+
+def test_package_attribute_classify_is_the_module():
+    import slamlog
+    import slamlog.classify as m
+
+    assert isinstance(m, types.ModuleType) and m is slamlog.classify
+    assert m.Caps is Caps and m.classify is classify
 
 
 def test_fixture_verdict_table():

@@ -353,6 +353,47 @@ W(y) :- E(x,y), V(x,y), W(x).
 goal :- E(x,y), D(x), D(y), W(y).
 """
 
+# Arc rules that differ only in their head predicate form one run: A, B, C
+# on P; then X, another shape, breaks it and D resumes it as a new run; L, M
+# need equal columns.  Which goal rule fires first depends on the order the
+# run's heads are queued in.
+RUN_PROGRAM = """
+P(x) :- R(x).
+A(y) :- E(x,y), P(x).
+B(y) :- E(x,y), P(x).
+C(y) :- E(x,y), P(x).
+X(x) :- E(x,y), P(x).
+D(y) :- E(x,y), P(x).
+L(x) :- E(x,x), P(x).
+M(x) :- E(x,x), P(x).
+P(y) :- E(x,y), B(x).
+P(x) :- E(x,y), M(y).
+goal :- G(x), A(x).
+goal :- R(x), C(x).
+goal :- G(x), D(x).
+goal :- R(x), L(x).
+goal :- G(x), X(x).
+"""
+
+# S and T form a run with two IDB body atoms, under P and under Q.
+TWO_IDB_RUN_PROGRAM = """
+P(x) :- R(x).
+Q(y) :- E(x,y), P(x).
+S(y) :- E(x,y), P(x), Q(y).
+T(y) :- E(x,y), P(x), Q(y).
+P(y) :- E(x,y), S(x).
+Q(x) :- E(x,y), T(y).
+goal :- G(x), T(x).
+"""
+
+
+def _runs(p):
+    """The runs of arc rules in p's users index: (IDB predicate, EDB
+    predicate, equality pairs, IDB body atoms, head predicates)."""
+    return [(q, e[1], e[2], len(e[4]), [head for _, head in e[5]])
+            for q, entries in datalog._compiled_rules(p)[2].items()
+            for e in entries if e[0] is not None]
+
 
 def test_on_demand_grounding_equals_full_grounding_on_hand_programs():
     rng = random.Random(6062)
@@ -362,9 +403,16 @@ def test_on_demand_grounding_equals_full_grounding_on_hand_programs():
     linear = parse_program("P(x) :- E(x,y).\nQ(y) :- E(x,y), P(x).\n"
                            "Q(x) :- E(x,y), P(y).\ngoal :- R(x), Q(x).\n"
                            "goal :- E(x,x), Q(x).\n")
+    runs = parse_program(RUN_PROGRAM)
+    assert [r for r in _runs(runs) if r[0] == "P"] == [
+        ("P", "E", (), 1, ["A", "B", "C"]), ("P", "E", (), 1, ["X"]),
+        ("P", "E", (), 1, ["D"]), ("P", "E", ((0, 1),), 1, ["L", "M"])]
+    two_idb = parse_program(TWO_IDB_RUN_PROGRAM)
+    assert [r for r in _runs(two_idb) if r[4] == ["S", "T"]] == [
+        ("P", "E", (), 2, ["S", "T"]), ("Q", "E", (), 2, ["S", "T"])]
     goals = 0
     for i in range(150):
-        for prog in (p, linear):
+        for prog in (p, linear, runs, two_idb):
             a = _random_instance(prog.signature, rng, rng.randrange(1, 6))
             if i % 5 == 0:
                 empty = {sym: set() if sym == "R" else a.rel(sym)
