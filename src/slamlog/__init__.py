@@ -67,7 +67,6 @@ from .homsolver import (
 from .polymorph import (
     AbsorptiveResult,
     CapExceeded,
-    ConditionFormatError,
     MinorCondition,
     OperationTable,
     SetSystem,
@@ -80,12 +79,9 @@ from .polymorph import (
     find_polymorphism_satisfying,
     indicator_structure,
     lattice_polymorphisms,
-    parse_condition,
-    projection_table,
     quasi_majority,
     quasi_maltsev,
     quasi_minority,
-    render_condition,
     subset_power_structure,
     totally_symmetric,
     totally_symmetric_check,

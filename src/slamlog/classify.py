@@ -115,8 +115,6 @@ def _sweep_pairs(caps: Caps):
 def _absorptive_witness(res) -> dict:
     out = {"k": res.k, "n": res.n, "strategy": res.strategy,
            "indicator_size": res.indicator_size}
-    if res.witness_table is not None:
-        out["table"] = _table_json(res.witness_table)
     if res.witness_map is not None:
         out["map"] = [
             [[sorted(block) for block in system.blocks], value]

@@ -38,7 +38,7 @@ from .homsolver import (
     core_of,
     find_homomorphism,
 )
-from .polymorph import CapExceeded, ConditionFormatError
+from .polymorph import CapExceeded
 from .structures import (
     StructureFormatError,
     UnfoldError,
@@ -48,8 +48,8 @@ from .structures import (
 )
 
 _ERRORS = (StructureFormatError, DatalogFormatError, GadgetFormatError,
-           ConditionFormatError, UnfoldError, SignatureMismatch,
-           CapExceeded, ValueError, KeyError, OSError)
+           UnfoldError, SignatureMismatch, CapExceeded, ValueError,
+           KeyError, OSError)
 
 
 def _read(path: str, state: dict) -> str:

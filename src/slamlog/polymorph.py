@@ -11,12 +11,14 @@ and owns the stream cap: the indicator and the polymorphism check of an
 operation table use it.
 
 The subset power and the set systems of absorptive conditions are built
-from their generators, not from the power; the dense indicator stays as the
-oracle for set systems.
+from their generators, not from the power.  `absorptive_check` decides on
+set systems only; its oracle is the dense indicator of the same condition,
+`find_polymorphism_satisfying(b, block_symmetric_absorptive(k, n))`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -32,10 +34,6 @@ DEFAULT_STREAM_CAP = 1 << 20
 
 class CapExceeded(Exception):
     """A requested table or tuple stream does not fit the configured cap."""
-
-
-class ConditionFormatError(ValueError):
-    """Raised when minor-condition text cannot be parsed."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +94,10 @@ def _check_witness(table: OperationTable, c: "MinorCondition",
     """Raise WitnessError unless the table satisfies c and is a
     polymorphism of b."""
     if not table.satisfies(c, partition):
-        raise WitnessError(f"witness table breaks {render_condition(c)}")
+        raise WitnessError(f"witness table breaks the {c.kind} condition")
     if not table.is_polymorphism_of(b, stream_cap=stream_cap):
         raise WitnessError("witness table is not a polymorphism of "
                            f"{b.name or 'the template'}")
-
-
-def projection_table(size: int, arity: int, coordinate: int = 0) -> OperationTable:
-    values = []
-    for args in itertools.product(range(size), repeat=arity):
-        values.append(args[coordinate])
-    return OperationTable(arity=arity, size=size, values=tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -378,30 +369,24 @@ def find_polymorphism_satisfying(
     dense_cap: int = DEFAULT_DENSE_CAP,
     stream_cap: int = DEFAULT_STREAM_CAP,
 ) -> OperationTable | None:
-    """A polymorphism of b satisfying c, through the indicator quotient."""
-    return _dense_witness(b, c, dense_cap, stream_cap)[1]
-
-
-def _dense_witness(b: Structure, c: MinorCondition, dense_cap: int,
-                   stream_cap: int) -> tuple[int, OperationTable | None]:
-    """Size of the indicator of c over b, and the polymorphism satisfying c
-    read off the first homomorphism from it to b, or None.  The table is
-    checked against the same closure partition the indicator was built
-    from, so the partition is built once."""
+    """A polymorphism of b satisfying c, read off the first homomorphism
+    from the indicator quotient to b, or None.  The table is checked against
+    the same closure partition the indicator was built from, so the
+    partition is built once, and only after the dense cap admits it."""
     _check_dense(b, c, dense_cap)
     part = closure_partition(c, b.size)
     ind, class_map = indicator_structure(b, c, dense_cap, stream_cap,
                                          partition=part)
     h = find_homomorphism(ind, b)
     if h is None:
-        return ind.size, None
+        return None
     table = OperationTable(
         arity=c.arity,
         size=b.size,
         values=tuple(h[cls] for cls in class_map),
     )
     _check_witness(table, c, b, stream_cap, part)
-    return ind.size, table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -505,19 +490,18 @@ def canonical_set_system(blocks) -> SetSystem:
 
 @dataclass(frozen=True)
 class AbsorptiveResult:
-    """Outcome of absorptive_check.  A dense "yes" carries `witness_table`,
-    the polymorphism itself.  A setsystem "yes" carries `witness_map`, the
-    homomorphism from the set-system structure to the template: the
-    operation sends a tuple to the value of the canonical set system of its
-    blocks.  A "no" carries neither."""
+    """Outcome of absorptive_check, decided on set systems.  A "yes"
+    carries `witness_map`, the homomorphism from the set-system structure
+    to the template: the operation sends a tuple to the value of the
+    canonical set system of its blocks.  A "no" carries None.
+    `indicator_size` is the number of set systems."""
 
     status: str                     # "yes" | "no"
     k: int
     n: int
-    strategy: str                   # "dense" | "setsystem"
     indicator_size: int
-    witness_table: OperationTable | None = None
     witness_map: tuple[tuple[SetSystem, int], ...] | None = None
+    strategy = "setsystem"          # not a field: the one way to decide
 
 
 def _enumerate_antichains(subsets: list[frozenset[int]], n: int,
@@ -526,7 +510,7 @@ def _enumerate_antichains(subsets: list[frozenset[int]], n: int,
     # largest layer bounds the count from below before anything is built.
     # The enumeration below raises exactly when the count exceeds cap + 1.
     layer = max(Counter(map(len, subsets)).values(), default=0)
-    if sum(_ncr(layer, r) for r in range(1, min(n, layer) + 1)) > cap + 1:
+    if sum(math.comb(layer, r) for r in range(1, n + 1)) > cap + 1:
         raise CapExceeded(f"more than {cap} set systems")
     found: list[tuple[frozenset[int], ...]] = []
 
@@ -561,28 +545,30 @@ def _setsystem_structure(
     ]
     systems = _enumerate_antichains(subsets, n, cap=stream_cap)
     index = {ss: i for i, ss in enumerate(systems)}
+
+    # one canonicalisation per distinct block set, not per combination
+    @functools.cache
+    def system_of(blocks: frozenset[frozenset[int]]) -> int:
+        return index[canonical_set_system(blocks)]
+
     rels = []
     for _, ar, rel in b.relation_items():
         rows = sorted(rel)
         out = set()
-        # supports: the set of relation tuples used inside one block
+        # supports: the sets of relation tuples used inside one block, each
+        # kept as its blocks, one per coordinate
         supports = [
-            frozenset(w)
+            tuple(frozenset(u[i] for u in w) for i in range(ar))
             for size in range(1, min(k, len(rows)) + 1)
             for w in itertools.combinations(rows, size)
         ]
-        total = 0
-        for vsize in range(1, n + 1):
-            total += _ncr(len(supports), vsize)
-            if total > stream_cap:
-                raise CapExceeded("set-system representative stream too large")
+        if sum(math.comb(len(supports), r) for r in range(1, n + 1)) \
+                > stream_cap:
+            raise CapExceeded("set-system representative stream too large")
         for vsize in range(1, n + 1):
             for v in itertools.combinations(supports, vsize):
-                entry = []
-                for i in range(ar):
-                    blocks = [frozenset(u[i] for u in w) for w in v]
-                    entry.append(index[canonical_set_system(blocks)])
-                out.add(tuple(entry))
+                out.add(tuple(system_of(frozenset(column))
+                              for column in zip(*v)))
         rels.append(frozenset(out))
     struct = Structure(
         signature=b.signature,
@@ -593,36 +579,22 @@ def _setsystem_structure(
     return struct, systems
 
 
-def _ncr(n: int, r: int) -> int:
-    return math.comb(n, r) if r <= n else 0
-
-
 def absorptive_check(
     b: Structure,
     k: int,
     n: int,
-    strategy: str = "setsystem",
-    dense_cap: int = DEFAULT_DENSE_CAP,
     stream_cap: int = DEFAULT_STREAM_CAP,
 ) -> AbsorptiveResult:
-    """Decide a k-absorptive block-symmetric polymorphism with n blocks.
-
-    setsystem maps the structure on canonical antichains of blocks home and
-    scales to large arities; dense quotients the full power and is its oracle.
-    """
-    if strategy not in ("dense", "setsystem"):
-        raise ValueError(f"unknown strategy {strategy}")
-    cond = block_symmetric_absorptive(k, n)
-    if strategy == "dense":
-        size, table = _dense_witness(b, cond, dense_cap, stream_cap)
-        return AbsorptiveResult(
-            status="no" if table is None else "yes", k=k, n=n,
-            strategy="dense", indicator_size=size, witness_table=table,
-        )
+    """Decide a k-absorptive block-symmetric polymorphism with n blocks by
+    mapping the structure on canonical antichains of blocks home; this
+    scales to large arities.  Its oracle is the dense indicator,
+    find_polymorphism_satisfying(b, block_symmetric_absorptive(k, n))."""
+    if k < 1 or n < 1:
+        raise ValueError("block size and block count must be positive")
     struct, systems = _setsystem_structure(b, k, n, stream_cap)
     h = find_homomorphism(struct, b)
     return AbsorptiveResult(
-        status="no" if h is None else "yes", k=k, n=n, strategy="setsystem",
+        status="no" if h is None else "yes", k=k, n=n,
         indicator_size=struct.size,
         witness_map=None if h is None else tuple(zip(systems, h)),
     )
@@ -706,100 +678,3 @@ def _binary_polymorphism(table, rel_rows, arities) -> bool:
                 if tuple(table[t[i]][u[i]] for i in range(ar)) not in rel:
                     return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Text format
-# ---------------------------------------------------------------------------
-
-def render_condition(c: MinorCondition) -> str:
-    if c.kind == "quasi_maltsev":
-        return "cond quasi-maltsev"
-    if c.kind == "quasi_minority":
-        return "cond quasi-minority"
-    if c.kind == "quasi_majority":
-        return "cond quasi-majority"
-    if c.kind == "tsym":
-        return f"cond tsym {c.arity}"
-    if c.kind == "absorptive":
-        return f"cond absorptive {c.block_size} {c.blocks}"
-    parts = "; ".join(
-        "({}) ≈ ({})".format(",".join(l), ",".join(r))
-        for l, r in c.identities
-    )
-    return f"cond explicit m={c.arity} {parts}"
-
-
-def _parse_term(term: str) -> tuple[str | None, tuple[str, ...]]:
-    term = term.strip()
-    if "(" not in term or not term.endswith(")"):
-        raise ConditionFormatError(f"bad term {term!r}")
-    head, inner = term.split("(", 1)
-    head = head.strip()
-    args = tuple(v.strip() for v in inner[:-1].split(",") if v.strip())
-    if not args:
-        raise ConditionFormatError(f"empty term {term!r}")
-    return (head or None, args)
-
-
-def parse_condition(text: str) -> MinorCondition:
-    body = text.strip()
-    if body.startswith("cond"):
-        body = body[len("cond"):].strip()
-    if not body:
-        raise ConditionFormatError("empty condition")
-    fields = body.split(None, 1)
-    head = fields[0]
-    rest = fields[1] if len(fields) > 1 else ""
-    if head == "quasi-maltsev":
-        return quasi_maltsev()
-    if head == "quasi-minority":
-        return quasi_minority()
-    if head == "quasi-majority":
-        return quasi_majority()
-    if head == "tsym":
-        try:
-            return totally_symmetric(int(rest))
-        except ValueError:
-            raise ConditionFormatError(f"bad tsym arity {rest!r}") from None
-    if head == "absorptive":
-        parts = rest.split()
-        if len(parts) != 2:
-            raise ConditionFormatError("absorptive needs block size and count")
-        try:
-            return block_symmetric_absorptive(int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise ConditionFormatError("absorptive needs integers") from None
-    if head == "explicit":
-        if not rest.startswith("m="):
-            raise ConditionFormatError("explicit condition needs m=<arity>")
-        mtext, _, items = rest.partition(" ")
-        try:
-            arity = int(mtext[2:])
-        except ValueError:
-            raise ConditionFormatError(f"bad arity {mtext!r}") from None
-        identities = []
-        symbols: set[str | None] = set()
-        for item in items.split(";"):
-            item = item.strip()
-            if not item:
-                continue
-            normalized = item.replace("≈", "~")
-            if "~" not in normalized:
-                raise ConditionFormatError(f"identity {item!r} lacks ≈")
-            lhs_text, rhs_text = normalized.split("~", 1)
-            lsym, lhs = _parse_term(lhs_text)
-            rsym, rhs = _parse_term(rhs_text)
-            symbols.update((lsym, rsym))
-            if len(lhs) != arity or len(rhs) != arity:
-                raise ConditionFormatError(
-                    f"identity {item!r} does not match arity {arity}"
-                )
-            identities.append((lhs, rhs))
-        named = {s for s in symbols if s is not None}
-        if len(named) > 1:
-            raise ConditionFormatError(f"multiple operation symbols: {named}")
-        if not identities:
-            raise ConditionFormatError("explicit condition without identities")
-        return explicit_condition(arity, identities)
-    raise ConditionFormatError(f"unknown condition {head!r}")

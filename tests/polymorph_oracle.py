@@ -8,20 +8,29 @@ row, straight from the definition.
 `brute_force_search` is an exhaustive operation-table search, the oracle
 for the indicator construction.  Only arity is capped, and its time grows
 with |B|^(|B|^arity), so keep it to two- and three-element templates.
+
+`setsystem_structure_literal` builds the set-system structure of an
+absorptive check one combination of supports and one coordinate at a
+time, canonicalising every block list afresh; it is the oracle for
+`polymorph._setsystem_structure`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from slamlog.polymorph import (
     DEFAULT_STREAM_CAP,
     CapExceeded,
     MinorCondition,
     OperationTable,
+    SetSystem,
     _check_witness,
+    _enumerate_antichains,
     _power_codes,
     _tuple_code,
+    canonical_set_system,
     condition_pairs,
 )
 from slamlog.structures import Structure
@@ -135,3 +144,48 @@ def brute_force_search(
     table = OperationTable(arity=m, size=n, values=tuple(values))
     _check_witness(table, c, b)
     return table
+
+
+def setsystem_structure_literal(
+    b: Structure, k: int, n: int, stream_cap: int = DEFAULT_STREAM_CAP,
+) -> tuple[Structure, list[SetSystem]]:
+    """The structure on canonical antichains of at most n blocks of at most
+    k elements, and its elements in order.  A relation holds, for each set
+    of at most n supports (sets of at most k relation tuples), the tuple of
+    the canonical set systems of the supports' blocks in each coordinate."""
+    subsets = [
+        frozenset(s)
+        for size in range(1, min(k, b.size) + 1)
+        for s in itertools.combinations(range(b.size), size)
+    ]
+    systems = _enumerate_antichains(subsets, n, cap=stream_cap)
+    index = {ss: i for i, ss in enumerate(systems)}
+    rels = []
+    for _, ar, rel in b.relation_items():
+        rows = sorted(rel)
+        out = set()
+        supports = [
+            frozenset(w)
+            for size in range(1, min(k, len(rows)) + 1)
+            for w in itertools.combinations(rows, size)
+        ]
+        total = 0
+        for vsize in range(1, n + 1):
+            total += math.comb(len(supports), vsize)
+            if total > stream_cap:
+                raise CapExceeded("set-system representative stream too large")
+        for vsize in range(1, n + 1):
+            for v in itertools.combinations(supports, vsize):
+                entry = []
+                for i in range(ar):
+                    blocks = [frozenset(u[i] for u in w) for w in v]
+                    entry.append(index[canonical_set_system(blocks)])
+                out.add(tuple(entry))
+        rels.append(frozenset(out))
+    struct = Structure(
+        signature=b.signature,
+        size=len(systems),
+        relations=tuple(rels),
+        name=f"ss({b.name})" if b.name else "",
+    )
+    return struct, systems

@@ -45,7 +45,9 @@ from slamlog.gadget import apply_gadget_reduction, parse_ppower_spec, pp_power
 from slamlog.homsolver import find_homomorphism, find_isomorphism
 from slamlog.polymorph import (
     absorptive_check,
+    block_symmetric_absorptive,
     find_polymorphism_satisfying,
+    indicator_structure,
     quasi_majority,
     quasi_maltsev,
     quasi_minority,
@@ -232,23 +234,26 @@ def test_acceptance_05_indicator_agrees_with_brute_force():
 
 def test_acceptance_06_absorptive_bound_machinery():
     start = time.perf_counter()
-    big = absorptive_check(path(2), 4, 4, strategy="dense")
+    cond = block_symmetric_absorptive(4, 4)
+    big = find_polymorphism_satisfying(path(2), cond)
     dense_elapsed = time.perf_counter() - start
-    assert big.status == "yes"
-    assert big.indicator_size <= 2 ** 16
+    assert big is not None
+    assert indicator_structure(path(2), cond)[0].size <= 2 ** 16
     assert dense_elapsed < 120
 
     agreements = 0
     for b in (path(2), b_n(2), horn_sat(), st_con()):
         for k, n in ((1, 2), (2, 2), (2, 3)):
-            dense = absorptive_check(b, k, n, strategy="dense")
-            sets = absorptive_check(b, k, n, strategy="setsystem")
-            assert dense.status == sets.status, (b.name, k, n)
-            assert dense.indicator_size == sets.indicator_size, (b.name, k, n)
+            cond = block_symmetric_absorptive(k, n)
+            dense = find_polymorphism_satisfying(b, cond)
+            sets = absorptive_check(b, k, n)
+            assert (dense is not None) == (sets.status == "yes"), (b.name, k, n)
+            assert indicator_structure(b, cond)[0].size == \
+                sets.indicator_size, (b.name, k, n)
             agreements += 1
     elapsed = time.perf_counter() - start
     print(f"ACCEPTANCE 6: PASS - dense (4,4) yes in {dense_elapsed:.1f}s, "
-          f"{agreements} strategy agreements, {elapsed:.1f}s total")
+          f"{agreements} dense/set-system agreements, {elapsed:.1f}s total")
 
 
 def test_acceptance_07_unfolding_properties():

@@ -42,6 +42,8 @@ def test_tracer_wraps_and_restores_the_traced_names(monkeypatch):
                  "datalog.canonical_program"):
         assert counts.get(name + ".calls", 0) > 0, name
     assert counts.get("datalog.evaluate.facts", 0) > 0
+    # counted only while AbsorptiveResult.strategy reads "setsystem"
+    assert counts.get("polymorph.absorptive.setsystem_elements", 0) > 0
     assert (classify.classify, polymorph.closure_partition,
             polymorph.absorptive_check, HomSearcher.find,
             datalog.evaluate) == originals

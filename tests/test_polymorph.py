@@ -4,7 +4,11 @@ import itertools
 import random
 
 import pytest
-from polymorph_oracle import brute_force_search, subset_power_literal
+from polymorph_oracle import (
+    brute_force_search,
+    setsystem_structure_literal,
+    subset_power_literal,
+)
 
 from slamlog.fixtures import (
     b_n,
@@ -22,23 +26,20 @@ from slamlog.fixtures import (
 )
 from slamlog.homsolver import HomSearcher, WitnessError, is_homomorphism
 from slamlog.polymorph import (
+    DEFAULT_STREAM_CAP,
     CapExceeded,
-    ConditionFormatError,
     OperationTable,
     absorptive_check,
     block_symmetric_absorptive,
     canonical_set_system,
     closure_partition,
     condition_pairs,
-    explicit_condition,
     find_polymorphism_satisfying,
     indicator_structure,
     lattice_polymorphisms,
-    parse_condition,
     quasi_majority,
     quasi_maltsev,
     quasi_minority,
-    render_condition,
     subset_power_structure,
     totally_symmetric,
     totally_symmetric_check,
@@ -47,6 +48,7 @@ from slamlog.polymorph import (
     _blocks_of,
     _enumerate_antichains,
     _power_codes,
+    _setsystem_structure,
     _tuple_code,
 )
 from slamlog.structures import Signature, Structure, make_structure
@@ -72,26 +74,6 @@ def _satisfies_literally(table, pairs):
 
 
 # --- conditions ----------------------------------------------------------------
-
-def test_condition_render_parse_round_trip():
-    conds = [
-        quasi_maltsev(),
-        quasi_majority(),
-        quasi_minority(),
-        totally_symmetric(3),
-        block_symmetric_absorptive(2, 3),
-        explicit_condition(2, [(("x", "y"), ("y", "x"))]),
-    ]
-    for c in conds:
-        assert parse_condition(render_condition(c)) == c
-
-
-def test_parse_condition_rejects_garbage():
-    with pytest.raises(ConditionFormatError):
-        parse_condition("cond no-such-thing")
-    with pytest.raises(ConditionFormatError):
-        parse_condition("nonsense")
-
 
 def test_quasi_maltsev_pairs_are_the_textbook_identities():
     got = set(condition_pairs(quasi_maltsev(), 2))
@@ -321,17 +303,14 @@ def test_absorptive_check_matches_literal_oracle_at_2_2():
     cond = block_symmetric_absorptive(2, 2)
     for b in (path(2), b_n(2), horn_sat(), st_con()):
         want = "yes" if _absorptive_exists_literal(b) else "no"
-        for strategy in ("dense", "setsystem"):
-            r = absorptive_check(b, 2, 2, strategy=strategy)
-            assert r.status == want, (b.name, strategy)
-            if strategy == "dense":
-                table = r.witness_table
-                assert r.witness_map is None
-            else:
-                assert r.witness_table is None
-                table = None if r.witness_map is None else \
-                    _table_of_map(r.witness_map, b.size, 2, 2)
-            assert (table is not None) == (r.status == "yes")
+        r = absorptive_check(b, 2, 2)
+        assert r.status == want, b.name
+        set_table = None if r.witness_map is None else \
+            _table_of_map(r.witness_map, b.size, 2, 2)
+        dense_table = find_polymorphism_satisfying(b, cond)
+        for oracle, table in (("dense", dense_table),
+                              ("setsystem", set_table)):
+            assert (table is not None) == (want == "yes"), (b.name, oracle)
             if table is not None:
                 assert table.satisfies(cond)
                 assert table.is_polymorphism_of(b)
@@ -341,8 +320,8 @@ def test_absorptive_check_matches_literal_oracle_at_2_2():
 @pytest.mark.parametrize("k,n", [(1, 2), (2, 1), (1, 3), (2, 2), (2, 3),
                                  (3, 2)])
 def test_set_systems_are_the_absorptive_identity_classes(size, k, n):
-    # The set-system strategy reports only its map because canonical set
-    # systems and the classes of the dense closure are the same thing.
+    # absorptive_check reports only its map because canonical set systems
+    # and the classes of the dense closure are the same thing.
     part = closure_partition(block_symmetric_absorptive(k, n), size)
     system_of = {}
     for code, t in enumerate(itertools.product(range(size), repeat=k * n)):
@@ -351,12 +330,21 @@ def test_set_systems_are_the_absorptive_identity_classes(size, k, n):
     assert len(set(system_of.values())) == len(system_of)
 
 
+@pytest.mark.parametrize("k,n", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_setsystem_structure_equals_the_literal_construction(k, n):
+    templates = [b for b in SUBSET_POWER_FIXTURES if b.size <= 4]
+    templates += _random_structures(60, seed=k * 10 + n)
+    for b in templates:
+        assert _setsystem_structure(b, k, n, DEFAULT_STREAM_CAP) == \
+            setsystem_structure_literal(b, k, n), b.name
+
+
 def test_setsystem_strategy_rejects_a_wrong_map(monkeypatch):
     # The constant map sends every set system to 0, and P2 has no loop.
     monkeypatch.setattr(HomSearcher, "enumerate",
                         lambda self, a, limit=None: iter([(0,) * a.size]))
     with pytest.raises(WitnessError):
-        absorptive_check(path(2), 2, 2, strategy="setsystem")
+        absorptive_check(path(2), 2, 2)
 
 
 def test_absorptive_fixture_statuses():
@@ -366,9 +354,7 @@ def test_absorptive_fixture_statuses():
 
 
 def test_absorptive_witness_satisfies_identities():
-    r = absorptive_check(path(2), 2, 2, strategy="dense")
-    assert r.status == "yes"
-    t = r.witness_table
+    t = find_polymorphism_satisfying(path(2), block_symmetric_absorptive(2, 2))
     assert t is not None and t.arity == 4
     assert _satisfies_literally(
         t, condition_pairs(block_symmetric_absorptive(2, 2), 2)
@@ -380,6 +366,16 @@ def test_brute_force_search_witness_is_valid():
     assert got is not None
     assert got.is_polymorphism_of(path(2))
     assert _satisfies_literally(got, condition_pairs(quasi_maltsev(), 2))
+
+
+def test_dense_cap_refuses_before_the_partition_is_built(monkeypatch):
+    # The partition alone would hold 2^16 codes.
+    def no_partition(c, domain_size):
+        raise AssertionError("closure partition built over the dense cap")
+    monkeypatch.setattr("slamlog.polymorph.closure_partition", no_partition)
+    with pytest.raises(CapExceeded, match="exceeds dense cap"):
+        find_polymorphism_satisfying(
+            path(2), block_symmetric_absorptive(4, 4), dense_cap=1 << 15)
 
 
 def test_wrong_witness_raises_even_without_asserts(monkeypatch):
