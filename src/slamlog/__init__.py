@@ -75,7 +75,6 @@ from .polymorph import (
     block_symmetric_absorptive,
     canonical_set_system,
     condition_pairs,
-    explicit_condition,
     find_polymorphism_satisfying,
     indicator_structure,
     lattice_polymorphisms,

@@ -15,7 +15,7 @@ import itertools
 import re
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .homsolver import SignatureMismatch
 from .polymorph import DEFAULT_STREAM_CAP, CapExceeded
@@ -76,10 +76,17 @@ class Rule:
 
 @dataclass(frozen=True)
 class Program:
-    """Rules over an EDB signature; IDB predicates are everything else."""
+    """Rules over an EDB signature; IDB predicates are everything else.
+
+    `origin` is (template, fragment) when canonical_program built the
+    program, else None.  `copy.copy` keeps it; `dataclasses.replace` and
+    parsing drop it, and it takes no part in equality, hashing or repr.
+    """
 
     signature: Signature
     rules: tuple[Rule, ...]
+    origin: tuple[Structure, str] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         arities: dict[str, int] = {}
@@ -356,13 +363,28 @@ def _compile_rule(rule: Rule, plan):
             tuple([body[i] for i in idb]))
 
 
-# id(program) -> (weak reference to it, compiled rules, linear flag, users).
-# The key is identity, not equality, so hashing a program is never needed and
-# a copy compiles afresh; an entry is dropped when its program is collected.
+# id(program) -> (weak reference to it, what it compiled to).  The key is
+# identity, not equality, so hashing a program is never needed and a copy
+# compiles afresh; an entry is dropped when its program is collected.
 _COMPILED_CACHE: dict[int, tuple] = {}
 
 
+def _compiled(p: Program, compile_program):
+    """compile_program(p), computed once per program object."""
+    entry = _COMPILED_CACHE.get(id(p))
+    if entry is not None and entry[0]() is p:
+        return entry[1]
+    value = compile_program(p)
+    _COMPILED_CACHE[id(p)] = (weakref.ref(p), value)
+    weakref.finalize(p, _COMPILED_CACHE.pop, id(p), None).atexit = False
+    return value
+
+
 def _compiled_rules(p: Program) -> tuple[tuple, bool, dict]:
+    return _compiled(p, _compile_rules)
+
+
+def _compile_rules(p: Program) -> tuple[tuple, bool, dict]:
     """The compiled rules of p; whether every body has at most one IDB atom
     (the linear fragment, which decides whether a trace is kept); and, for
     each IDB predicate, the rules whose bodies use it in ascending order.
@@ -373,10 +395,7 @@ def _compiled_rules(p: Program) -> tuple[tuple, bool, dict]:
     pairs, head positions and IDB body atoms, which differ only in their
     head predicate, as (keys, EDB predicate, equality pairs, head
     positions, IDB body atoms, [(rule index, head predicate), ...]).
-    Plans are compiled once per rule shape; canonical programs have few."""
-    entry = _COMPILED_CACHE.get(id(p))
-    if entry is not None and entry[0]() is p:
-        return entry[1:]
+    Plans are compiled once per rule shape."""
     sig = p.signature
     edb = frozenset(sig.names())
     plans: dict = {}
@@ -408,10 +427,7 @@ def _compiled_rules(p: Program) -> tuple[tuple, bool, dict]:
                 entries[-1][5].append((rule_idx, head_pred))
             else:
                 entries.append((*run, [(rule_idx, head_pred)]))
-    compiled = tuple(compiled)
-    _COMPILED_CACHE[id(p)] = (weakref.ref(p), compiled, linear, users)
-    weakref.finalize(p, _COMPILED_CACHE.pop, id(p), None).atexit = False
-    return compiled, linear, users
+    return tuple(compiled), linear, users
 
 
 def _ground_rule(compiled, a: Structure, rows_of):
@@ -457,11 +473,18 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
     up front.  The first derivation of each fact is remembered, so traces
     are reproducible.  With stop_at_goal the fixpoint is cut short as soon as
     the goal fires and the fact set may be partial.
+
+    A program that canonical_program built (its `origin` is set) is not read
+    rule by rule: integer tables compiled from its template's rule blocks
+    drive the same worklist over (subset, element) states, in the same rule
+    and row order, so facts, goal and trace are those described above.
     """
     if p.signature != a.signature:
         raise SignatureMismatch(
             f"program over {p.signature} evaluated on {a.signature}"
         )
+    if p.origin is not None:
+        return _evaluate_canonical(p, a, stop_at_goal)
     compiled_rules, linear, users = _compiled_rules(p)
     index: dict = {}         # (pred, positions) -> projection -> sorted rows
 
@@ -568,6 +591,119 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
     return EvalResult(facts=facts, goal=goal, trace=trace)
 
 
+def _row_bindings(head: int | None, t: tuple) -> tuple:
+    """The bindings of a canonical rule grounded on row t: the head variable
+    x{head+1} first, then x1, x2, ... in order."""
+    order = range(len(t)) if head is None else \
+        (head, *[i for i in range(len(t)) if i != head])
+    return tuple([(f"x{i + 1}", t[i]) for i in order])
+
+
+def _evaluate_canonical(p: Program, a: Structure,
+                        stop_at_goal: bool) -> EvalResult:
+    """evaluate on a canonical program, from the tables of its blocks.
+
+    A state is (subset mask, element) for the fact P_subset(element); each
+    element has a mask of the subsets derived for it and of those popped.
+    """
+    initial, users, linear, names = _compiled(
+        p, lambda p: _canonical_tables(*p.origin))
+    rows_of = {}
+    columns: dict = {}       # (relation, position) -> element -> sorted rows
+    for sym, r in a.signature.symbols:
+        rows_of[sym] = sorted(a.rel(sym))
+        for x in range(r):
+            by_value = columns[sym, x] = {}
+            for t in rows_of[sym]:
+                by_value.setdefault(t[x], []).append(t)
+
+    derived = [0] * a.size
+    popped = [0] * a.size
+    # state or GOAL_FACT -> (rule index, head position, row, body state)
+    provenance: dict = {}
+    queue = deque()
+
+    for rel, head, rules in initial:
+        rows = rows_of[rel]
+        if head is None:
+            if rows and GOAL_FACT not in provenance:
+                provenance[GOAL_FACT] = (rules[0][1], None, rows[0], None)
+            continue
+        for s, rule_idx in rules:
+            bit = 1 << s
+            for t in rows:
+                w = t[head]
+                if not derived[w] & bit:
+                    derived[w] |= bit
+                    provenance[s, w] = (rule_idx, head, t, None)
+                    queue.append((s, w))
+
+    stop = stop_at_goal and GOAL_FACT in provenance
+    while queue and not stop:
+        state = queue.popleft()
+        q, v = state
+        popped[v] |= 1 << q
+        for rel, keys, head, checks, rules, heads in users[q]:
+            if rel is None:         # goal :- Pempty(x1)
+                rows = ((v,),)
+            elif len(keys) == 1:
+                rows = columns[keys[0]].get(v, ())
+                if not rows:
+                    continue
+            else:
+                rows = sorted({t for key in keys
+                               for t in columns[key].get(v, ())})
+            if head is None:        # a goal rule, alone in its run
+                if GOAL_FACT in provenance:
+                    continue
+                for t in rows:
+                    if all([popped[t[x]] >> c & 1 for x, c in checks]):
+                        provenance[GOAL_FACT] = (rules[0][1], None, t, state)
+                        stop = stop_at_goal
+                        break
+                if stop:
+                    break
+                continue
+            # the first ready row of each head element, in row order
+            targets: dict = {}
+            for t in rows:
+                if not checks or all([popped[t[x]] >> c & 1
+                                      for x, c in checks]):
+                    targets.setdefault(t[head], t)
+            todo = 0                # heads some target still lacks
+            for w in targets:
+                todo |= heads & ~derived[w]
+            if not todo:
+                continue
+            # rule-major, as if each rule of the run were visited alone
+            for s, rule_idx in rules:
+                if not todo >> s & 1:
+                    continue
+                bit = 1 << s
+                for w, t in targets.items():
+                    if not derived[w] & bit:
+                        derived[w] |= bit
+                        provenance[s, w] = (rule_idx, head, t, state)
+                        queue.append((s, w))
+
+    def fact(state):
+        return state if state == GOAL_FACT else (names[state[0]], state[1:])
+
+    facts = frozenset(map(fact, provenance))
+    goal = GOAL_FACT in provenance
+    trace = None
+    if goal and linear:
+        steps = []
+        state = GOAL_FACT
+        while state is not None:
+            rule_idx, head, t, body = provenance[state]
+            steps.append(DerivationStep(fact=fact(state), rule_index=rule_idx,
+                                        bindings=_row_bindings(head, t)))
+            state = body
+        trace = Derivation(program=p, steps=tuple(reversed(steps)))
+    return EvalResult(facts=facts, goal=goal, trace=trace)
+
+
 # ---------------------------------------------------------------------------
 # Canonical programs
 # ---------------------------------------------------------------------------
@@ -590,6 +726,194 @@ def name_subset(name: str) -> frozenset[int] | None:
     return frozenset(int(x) for x in m.group(1).split("_"))
 
 
+def _bits(mask: int):
+    """The positions of mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _subset_names(n: int) -> list[str]:
+    """subset_name of every subset of range(n), indexed by its bit mask."""
+    return [subset_name(tuple(_bits(m))) for m in range(1 << n)]
+
+
+def _canonical_blocks(b: Structure, fragment: str):
+    """The rules of canonical_program(b, fragment) as integer blocks, in
+    program order: base rules, moves, goal rules, one goal rule per empty
+    relation, and goal :- Pempty(x1).
+
+    Subsets of the template's elements are bit masks.  A block is
+    (relation, arity, head, positions, pairs, by_head).  Its rules have the
+    body atoms relation(x1, ..., x{arity}) (none when relation is None) and
+    P_t(x{x+1}) for the masks t of a pair's body at the positions x; head
+    is the position of the head variable, None for goal rules.  A pair
+    (body, heads) stands for one rule per set bit s of heads, with head
+    P_s(x{head+1}); the heads of a goal rule are 1.  _block_rules gives the
+    order of a block's rules: by head subset first when by_head is set,
+    else by pair.
+    """
+    n = b.size
+    full = 1 << n
+    # supersets[m] and subsets[m]: the subset masks that contain m and that
+    # m contains, as masks over subset masks
+    has = [sum([1 << s for s in range(full) if s >> e & 1]) for e in range(n)]
+    supersets = [(1 << full) - 1] * full
+    subsets = [1] * full
+    for m in range(1, full):
+        low = m & -m
+        supersets[m] = supersets[m ^ low] & has[low.bit_length() - 1]
+        subsets[m] = subsets[m ^ low] | subsets[m ^ low] << low
+    relations = [(sym, r, sorted(rel)) for sym, r, rel in b.relation_items()]
+    linear = fragment != "am"
+
+    def column(rows, x):
+        mask = 0
+        for t in rows:
+            mask |= 1 << t[x]
+        return mask
+
+    def steps(rows, x, y):
+        """Per element e, the mask of u[y] over the rows u with u[x] = e."""
+        out = [0] * n
+        for u in rows:
+            out[u[x]] |= 1 << u[y]
+        return out
+
+    def constrained(rows, positions):
+        """Each tuple of subset masks at positions, in product order, with
+        the mask of the indices of the rows whose entries there lie in
+        them."""
+        out = [((), (1 << len(rows)) - 1)]
+        for x in positions:
+            hits = [sum([1 << i for i, u in enumerate(rows) if c >> u[x] & 1])
+                    for c in range(full)]
+            out = [(combo + (c,), mask & hits[c])
+                   for combo, mask in out for c in range(full)]
+        return out
+
+    for sym, r, rows in relations:
+        for y in range(r):
+            yield sym, r, y, (), (((), supersets[column(rows, y)]),), False
+    for sym, r, rows in relations:
+        for y in range(r):
+            if linear:
+                for x in range(r):
+                    # P_s(y) :- P_t(x) when t's image lies in s and, for
+                    # slam, s's image back lies in t: s within the elements
+                    # whose image back lies in t
+                    forth, back = steps(rows, x, y), steps(rows, y, x)
+                    pairs = []
+                    image = [0] * full
+                    for t in range(full):
+                        if t:
+                            low = t & -t
+                            image[t] = image[t ^ low] | \
+                                forth[low.bit_length() - 1]
+                        heads = supersets[image[t]]
+                        if fragment == "slam":
+                            heads &= subsets[sum(
+                                1 << e for e in range(n) if not back[e] & ~t)]
+                        if heads:
+                            pairs.append(((t,), heads))
+                    yield sym, r, y, (x,), tuple(pairs), True
+                continue
+            # the head subsets of each mask of matching rows
+            heads = {}
+            for vmask in range(1, 1 << r):
+                positions = tuple(_bits(vmask))
+                pairs = []
+                for combo, hits in constrained(rows, positions):
+                    if hits not in heads:
+                        heads[hits] = supersets[column(
+                            [rows[i] for i in _bits(hits)], y)]
+                    pairs.append((combo, heads[hits]))
+                yield sym, r, y, positions, tuple(pairs), False
+    for sym, r, rows in relations:
+        if linear:
+            for x in range(r):
+                proj = column(rows, x)
+                yield sym, r, None, (x,), tuple([
+                    ((t,), 1) for t in range(full) if not t & proj]), False
+            continue
+        for vmask in range(1, 1 << r):
+            positions = tuple(_bits(vmask))
+            yield sym, r, None, positions, tuple([
+                (combo, 1) for combo, hits in constrained(rows, positions)
+                if not hits]), False
+    for sym, r, rows in relations:
+        if not rows:
+            yield sym, r, None, (), (((), 1),), False
+    yield None, 1, None, (0,), (((0,), 1),), False
+
+
+def _block_rules(pairs, by_head: bool, start: int) -> list[list]:
+    """The rules of each pair of a block, as [(head subset, rule index),
+    ...] by ascending head, numbered from start in program order: by head
+    subset first when by_head is set, else by pair."""
+    top = max([heads for _, heads in pairs], default=0).bit_length()
+    if by_head:
+        out: list[list] = [[] for _ in pairs]
+        for s in range(top):
+            for run, (_, heads) in zip(out, pairs):
+                if heads >> s & 1:
+                    run.append((s, start))
+                    start += 1
+        return out
+    bits = {heads: [s for s in range(top) if heads >> s & 1]
+            for heads in {heads for _, heads in pairs}}
+    out = []
+    for _, heads in pairs:
+        subsets = bits[heads]
+        out.append(list(zip(subsets, range(start, start + len(subsets)))))
+        start += len(subsets)
+    return out
+
+
+def _canonical_tables(b: Structure, fragment: str):
+    """The worklist tables of canonical_program(b, fragment), read off its
+    blocks: (initial, users, linear, names).
+
+    `initial` lists the rules without an IDB body atom, in order, as
+    (relation, head position, rules).  `users[q]` lists the runs of rules
+    whose bodies use P_q, in rule order, as (relation, keys, head position,
+    checks, rules, heads).  A run is the rules of one pair of a block, which
+    differ only in their heads: its `rules` are [(head subset, rule index),
+    ...] by ascending head and `heads` is the mask of those subsets.  Its
+    keys are (relation, position) for each position of P_q in the body; its
+    checks are the (position, subset) pairs of a body with more than one
+    IDB atom, all of which must have been popped before a rule fires.
+    `linear` says whether every body has at most one IDB atom, and
+    names[mask] is the IDB predicate of a subset mask.
+    """
+    initial = []
+    users: list[list] = [[] for _ in range(1 << b.size)]
+    linear = True
+    index = 0
+    for rel, _, head, positions, pairs, by_head in \
+            _canonical_blocks(b, fragment):
+        runs = _block_rules(pairs, by_head, index)
+        index += sum(map(len, runs))
+        columns = tuple([(rel, x) for x in positions])
+        for (body, heads), rules in zip(pairs, runs):
+            if len(body) == 1:
+                users[body[0]].append((rel, columns, head, (), rules, heads))
+                continue
+            if not body:
+                initial.append((rel, head, rules))
+                continue
+            linear = False
+            checks = tuple(zip(positions, body))
+            keys: dict = {}      # subset -> its columns in the body
+            for column, q in zip(columns, body):
+                keys[q] = keys.get(q, ()) + (column,)
+            for q, columns_of_q in keys.items():
+                users[q].append((rel, columns_of_q, head, checks, rules,
+                                 heads))
+    return initial, users, linear, _subset_names(b.size)
+
+
 def canonical_program(b: Structure, fragment: str) -> Program:
     """The canonical program of width (1, max arity) for the template.
 
@@ -599,6 +923,10 @@ def canonical_program(b: Structure, fragment: str) -> Program:
     bodies may constrain several positions of the EDB atom at once, and
     CapExceeded is raised before anything is built when the am candidates
     exceed the stream cap.
+
+    The rules are rendered from _canonical_blocks, and the program's
+    `origin` is (b, fragment): evaluate compiles it from the same blocks
+    into integer tables instead of reading its rules.
     """
     if fragment not in FRAGMENTS:
         raise ValueError(f"unknown fragment {fragment!r}")
@@ -614,122 +942,26 @@ def canonical_program(b: Structure, fragment: str) -> Program:
                 f"canonical am program of a {n}-element template has "
                 f"{candidates} candidate rules, over the stream cap "
                 f"{DEFAULT_STREAM_CAP}")
-    subsets = [frozenset(v for v in range(n) if (mask >> v) & 1)
-               for mask in range(1 << n)]
-    names = {s: subset_name(s) for s in subsets}
+    names = _subset_names(n)
+    goal = (Atom(GOAL, ()),)
     rules: list[Rule] = []
-
-    def atom_vars(r):
-        return tuple(f"x{i + 1}" for i in range(r))
-
-    def edb_atom(sym, r):
-        return Atom(sym, atom_vars(r))
-
-    for sym, r, rel in b.relation_items():
-        rows = sorted(rel)
-        variables = atom_vars(r)
-        edb = edb_atom(sym, r)
-        for y in range(r):
-            proj = frozenset(t[y] for t in rows)
-            for s in subsets:
-                if proj <= s:
-                    rules.append(Rule(
-                        head=Atom(names[s], (variables[y],)),
-                        body=(edb,),
-                    ))
-
-    def moved(rows, constraints, y):
-        image = set()
-        for t in rows:
-            if all(t[x] in tx for x, tx in constraints):
-                image.add(t[y])
-        return image
-
-    for sym, r, rel in b.relation_items():
-        rows = sorted(rel)
-        variables = atom_vars(r)
-        edb = edb_atom(sym, r)
-        if fragment in ("lam", "slam"):
-            for y in range(r):
-                for x in range(r):
-                    # images of every subset from x to y and back
-                    forth = [moved(rows, ((x, t),), y) for t in subsets]
-                    back = [moved(rows, ((y, s),), x) for s in subsets]
-                    for s, back_s in zip(subsets, back):
-                        for t, forth_t in zip(subsets, forth):
-                            if not forth_t <= s:
-                                continue
-                            if fragment == "slam" and not back_s <= t:
-                                continue
-                            rules.append(Rule(
-                                head=Atom(names[s], (variables[y],)),
-                                body=(
-                                    edb,
-                                    Atom(names[t], (variables[x],)),
-                                ),
-                            ))
-        else:
-            for y in range(r):
-                for vmask in range(1, 1 << r):
-                    positions = [x for x in range(r) if (vmask >> x) & 1]
-                    for combo in itertools.product(subsets,
-                                                   repeat=len(positions)):
-                        constraints = tuple(zip(positions, combo))
-                        image = moved(rows, constraints, y)
-                        for s in subsets:
-                            if image <= s:
-                                rules.append(Rule(
-                                    head=Atom(names[s],
-                                              (variables[y],)),
-                                    body=(
-                                        edb,
-                                        *(Atom(names[tx],
-                                               (variables[x],))
-                                          for x, tx in constraints),
-                                    ),
-                                ))
-
-    for sym, r, rel in b.relation_items():
-        rows = sorted(rel)
-        variables = atom_vars(r)
-        edb = edb_atom(sym, r)
-        if fragment in ("lam", "slam"):
-            for x in range(r):
-                for t in subsets:
-                    if not any(u[x] in t for u in rows):
-                        rules.append(Rule(
-                            head=Atom(GOAL, ()),
-                            body=(
-                                edb,
-                                Atom(names[t], (variables[x],)),
-                            ),
-                        ))
-        else:
-            for vmask in range(1, 1 << r):
-                positions = [x for x in range(r) if (vmask >> x) & 1]
-                for combo in itertools.product(subsets,
-                                               repeat=len(positions)):
-                    constraints = tuple(zip(positions, combo))
-                    if not any(
-                        all(t[x] in tx for x, tx in constraints)
-                        for t in rows
-                    ):
-                        rules.append(Rule(
-                            head=Atom(GOAL, ()),
-                            body=(
-                                edb,
-                                *(Atom(names[tx], (variables[x],))
-                                  for x, tx in constraints),
-                            ),
-                        ))
-
-    for sym, r, rel in b.relation_items():
-        if not rel:
-            rules.append(Rule(head=Atom(GOAL, ()),
-                              body=(edb_atom(sym, r),)))
-    rules.append(Rule(head=Atom(GOAL, ()),
-                      body=(Atom(subset_name(frozenset()), ("x1",)),)))
-    return Program(signature=b.signature, rules=tuple(rules))
+    for rel, r, head, positions, pairs, by_head in \
+            _canonical_blocks(b, fragment):
+        variables = tuple(f"x{i + 1}" for i in range(r))
+        edb = () if rel is None else (Atom(rel, variables),)
+        heads = goal if head is None else \
+            [Atom(name, (variables[head],)) for name in names]
+        runs = _block_rules(pairs, by_head, 0)
+        block: list = [None] * sum(map(len, runs))
+        for (body, _), run in zip(pairs, runs):
+            atoms = edb + tuple([Atom(names[t], (variables[x],))
+                                 for x, t in zip(positions, body)])
+            for s, rule_idx in run:
+                block[rule_idx] = Rule(head=heads[s], body=atoms)
+        rules += block
+    program = Program(signature=b.signature, rules=tuple(rules))
+    object.__setattr__(program, "origin", (b, fragment))
+    return program
 
 
 # ---------------------------------------------------------------------------

@@ -106,23 +106,13 @@ def _check_witness(table: OperationTable, c: "MinorCondition",
 
 @dataclass(frozen=True)
 class MinorCondition:
-    """Height-one identity system for one operation symbol.
-
-    `kind` picks a structural generator; explicit conditions carry their
-    identities as pairs of variable tuples.
-    """
+    """Height-one identity system for one operation symbol; `kind` picks a
+    structural generator."""
 
     kind: str
     arity: int
-    identities: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = ()
     block_size: int = 0
     blocks: int = 0
-
-    def __post_init__(self):
-        if self.kind == "explicit":
-            for lhs, rhs in self.identities:
-                if len(lhs) != self.arity or len(rhs) != self.arity:
-                    raise ValueError("identity tuple length != arity")
 
 
 def quasi_maltsev() -> MinorCondition:
@@ -150,14 +140,6 @@ def block_symmetric_absorptive(k: int, n: int) -> MinorCondition:
     return MinorCondition(kind="absorptive", arity=k * n, block_size=k, blocks=n)
 
 
-def explicit_condition(arity: int, identities) -> MinorCondition:
-    return MinorCondition(
-        kind="explicit",
-        arity=arity,
-        identities=tuple((tuple(l), tuple(r)) for l, r in identities),
-    )
-
-
 def _blocks_of(t: tuple[int, ...], k: int) -> list[frozenset[int]]:
     return [frozenset(t[i: i + k]) for i in range(0, len(t), k)]
 
@@ -172,16 +154,7 @@ def _writings(s: frozenset[int], k: int):
 def condition_pairs(c: MinorCondition, domain_size: int):
     """All ordered tuple pairs instantiating some identity of c."""
     d = range(domain_size)
-    if c.kind == "explicit":
-        for lhs, rhs in c.identities:
-            variables = []
-            for v in lhs + rhs:
-                if v not in variables:
-                    variables.append(v)
-            for assign in itertools.product(d, repeat=len(variables)):
-                env = dict(zip(variables, assign))
-                yield (tuple(env[v] for v in lhs), tuple(env[v] for v in rhs))
-    elif c.kind in ("quasi_maltsev", "quasi_minority"):
+    if c.kind in ("quasi_maltsev", "quasi_minority"):
         for x in d:
             for y in d:
                 yield ((x, x, y), (y, x, x))
@@ -265,7 +238,7 @@ def closure_partition(c: MinorCondition, domain_size: int) -> Partition:
     """
     size = domain_size ** c.arity
     part = Partition(size)
-    if c.kind in ("explicit", "quasi_maltsev", "quasi_minority", "quasi_majority"):
+    if c.kind in ("quasi_maltsev", "quasi_minority", "quasi_majority"):
         for a, b in condition_pairs(c, domain_size):
             part.union(_tuple_code(a, domain_size), _tuple_code(b, domain_size))
         return part
@@ -506,11 +479,12 @@ class AbsorptiveResult:
 
 def _enumerate_antichains(subsets: list[frozenset[int]], n: int,
                           cap: int) -> list[SetSystem]:
-    # Every family of at most n subsets of one size is an antichain, so the
-    # largest layer bounds the count from below before anything is built.
-    # The enumeration below raises exactly when the count exceeds cap + 1.
-    layer = max(Counter(map(len, subsets)).values(), default=0)
-    if sum(math.comb(layer, r) for r in range(1, n + 1)) > cap + 1:
+    # Every family of at most n subsets of one size is an antichain, and
+    # families inside different layers differ, so the layers' counts summed
+    # bound the count from below before anything is built.  The enumeration
+    # below raises exactly when the count exceeds cap + 1.
+    if sum(math.comb(layer, r) for layer in Counter(map(len, subsets)).values()
+           for r in range(1, n + 1)) > cap + 1:
         raise CapExceeded(f"more than {cap} set systems")
     found: list[tuple[frozenset[int], ...]] = []
 

@@ -442,7 +442,7 @@ def _literal_antichains(subsets, n, cap):
 
 
 @pytest.mark.parametrize("size,k,n", [(4, 1, 3), (3, 2, 2), (3, 3, 3),
-                                      (4, 2, 3), (4, 4, 2)])
+                                      (4, 2, 3), (4, 4, 2), (4, 4, 3)])
 def test_antichain_enumeration_matches_the_full_enumeration(size, k, n):
     subsets = [frozenset(s) for r in range(1, k + 1)
                for s in itertools.combinations(range(size), r)]
