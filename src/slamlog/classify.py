@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from .datalog import Program, canonical_program, evaluate
-from .homsolver import core_of, find_homomorphism, is_core
+from .homsolver import HomSearcher, core_of, find_homomorphism, is_core
 from .polymorph import (
     DEFAULT_DENSE_CAP,
     DEFAULT_STREAM_CAP,
@@ -440,12 +440,14 @@ def verify_program_solves(p: Program, b: Structure,
     """Check that the program derives the goal exactly on the instances
     with no homomorphism to the template, checking one instance per
     isomorphism class unless `instances` is given.  `jobs` is accepted and
-    ignored: sweeps run serially."""
+    ignored: sweeps run serially.  One searcher for the template serves
+    every class."""
     classes = _sweep_classes(b.signature, size_cap, instances)
+    into_b = HomSearcher(b)
 
     def check(a: Structure) -> bool:
         goal = evaluate(p, a, stop_at_goal=True).goal
-        sat = find_homomorphism(a, b) is not None
+        sat = into_b.find(a) is not None
         return goal == (not sat)
 
     return _run_sweep(classes, check)
@@ -456,17 +458,20 @@ def verify_duality_pair(obstructions, b: Structure, size_cap: int,
     """Check that mapping from no obstruction coincides with mapping into
     the template, over all instances up to the size cap, checking one
     instance per isomorphism class unless `instances` is given.  `jobs` is
-    accepted and ignored: sweeps run serially."""
+    accepted and ignored: sweeps run serially.  One searcher for the
+    template serves every class; each obstruction search has its own target,
+    the instance."""
     obstructions = tuple(obstructions)
     for f in obstructions:
         if f.signature != b.signature:
             raise ValueError("obstruction signature mismatch")
     classes = _sweep_classes(b.signature, size_cap, instances)
+    into_b = HomSearcher(b)
 
     def check(a: Structure) -> bool:
         blocked = any(find_homomorphism(f, a) is not None
                       for f in obstructions)
-        sat = find_homomorphism(a, b) is not None
+        sat = into_b.find(a) is not None
         return blocked == (not sat)
 
     return _run_sweep(classes, check)

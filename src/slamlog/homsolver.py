@@ -7,20 +7,30 @@ element that still has more than one candidate and tries its values in
 ascending order, so homomorphisms come out in lexicographic order of the
 value tuple and `find` returns the lexicographically first one.
 
-Propagation revises atoms: an atom is a source tuple paired with the rows of
-its relation in the target, and revising it keeps, at each position, the
-values of the rows that lie inside the current candidate sets.  The root
-fixpoint is a full scan over all atoms, repeated until nothing changes; most
-calls end there.  Below the root the loop keeps one candidate list and an
-undo trail of (element, old mask) pairs.  A branch remembers the trail's
-length, narrows the list in place, and backtracking pops the trail back to
-that mark.  After a branch only the atoms of elements whose mask shrank are
-revised, from a worklist with an in-queue flag per atom (AC-3: Mackworth,
-"Consistency in networks of relations", AIJ 1977) through an element-to-atom
-index that is built when the search first branches.  The arc-consistent
-fixpoint does not depend on the order of revisions, so both passes reach
-the same candidate sets.  Memory is O(elements + changes), and no call
-recurses, whatever the input size.
+Propagation revises atoms.  An atom is a source tuple paired with its
+relation in the target, and revising it keeps, at each position, the values
+that some target tuple inside the current candidate sets takes there.  How
+depends on the arity.  For a binary relation the searcher keeps, per target
+value, the mask of its successors and the mask of its predecessors, built
+once in `__init__`.  A binary atom (a, b) then revises without reading rows:
+a keeps its candidates that have a successor among b's, which is the union
+of the predecessor masks over b's candidates, and b dually (word-level
+revision: Lecoutre and Vion, "Enforcing arc consistency using bitwise
+operations", Constraint Programming Letters 2, 2008).  These are exactly the
+row scan's supports, a loop atom (e, e) included.  An atom of any other
+arity scans the target rows of its relation.
+
+The root fixpoint is a full scan over all atoms, repeated until nothing
+changes; most calls end there.  Below the root the loop keeps one candidate
+list and an undo trail of (element, old mask) pairs.  A branch remembers the
+trail's length, narrows the list in place, and backtracking pops the trail
+back to that mark.  After a branch only the atoms of elements whose mask
+shrank are revised, from a worklist with an in-queue flag per atom (AC-3:
+Mackworth, "Consistency in networks of relations", AIJ 1977) through an
+element-to-atom index that is built when the search first branches.  The
+arc-consistent fixpoint does not depend on the order of revisions, so both
+passes reach the same candidate sets.  Memory is O(elements + changes), and
+no call recurses, whatever the input size.
 """
 
 from __future__ import annotations
@@ -66,9 +76,29 @@ def _first_unfixed(cand: list[int], start: int) -> int | None:
     return None
 
 
-def _support(t: tuple[int, ...], rows, cand: list[int]) -> list[int]:
-    """Revision of one atom: per position of t, the mask of values taken
-    there by the rows that lie inside the candidate sets of t."""
+def _neighbour_masks(rel, size: int):
+    """Per value of a binary relation, the mask of its predecessors and the
+    mask of its successors."""
+    in_, out = [0] * size, [0] * size
+    for u, v in rel:
+        in_[v] |= 1 << u
+        out[u] |= 1 << v
+    return in_, out
+
+
+def _image(masks: list[int], m: int) -> int:
+    """Union of masks[v] over the set bits v of m."""
+    image = 0
+    while m:
+        low = m & -m
+        image |= masks[low.bit_length() - 1]
+        m ^= low
+    return image
+
+
+def _scan_support(t: tuple[int, ...], rows, cand: list[int]) -> list[int]:
+    """Per position of t, the mask of values taken there by the rows that
+    lie inside the candidate sets of t."""
     k = len(t)
     support = [0] * k
     for u in rows:
@@ -83,6 +113,20 @@ def _support(t: tuple[int, ...], rows, cand: list[int]) -> list[int]:
     return support
 
 
+def _support(t: tuple[int, ...], rel, cand: list[int]) -> list[int]:
+    """Revision of one atom: per position of t, the mask of values taken
+    there by the target tuples that lie inside the candidate sets of t.
+    For a binary t, `rel` is `_neighbour_masks` of the target relation, and
+    each support is the image of the other position's candidates, which
+    gives the row scan's masks without reading rows.  For any other arity,
+    `rel` is the sorted rows and `_scan_support` reads them."""
+    if len(t) == 2:
+        in_, out = rel
+        first, second = cand[t[0]], cand[t[1]]
+        return [_image(in_, second) & first, _image(out, first) & second]
+    return _scan_support(t, rel, cand)
+
+
 def _values(cand: list[int]) -> tuple[int, ...]:
     return tuple(m.bit_length() - 1 for m in cand)
 
@@ -94,15 +138,19 @@ class HomSearcher:
         self.target = target
         self.nb = target.size
         self.full = (1 << self.nb) - 1
-        self.target_rels = [sorted(rel) for rel in target.relations]
+        self.target_rels = [
+            _neighbour_masks(rel, self.nb) if arity == 2 else sorted(rel)
+            for (_, arity), rel in zip(target.signature.symbols,
+                                       target.relations)]
 
     def _atoms(self, a: Structure):
-        """Pair each instance tuple with the target rows of its relation."""
+        """Pair each instance tuple with its relation in the target, as
+        `_support` reads it."""
         atoms = []
         for ri, rel in enumerate(a.relations):
-            rows = self.target_rels[ri]
+            target_rel = self.target_rels[ri]
             for t in sorted(rel):
-                atoms.append((t, rows))
+                atoms.append((t, target_rel))
         return atoms
 
     # -- arc consistency ----------------------------------------------------
@@ -113,8 +161,8 @@ class HomSearcher:
         changed = True
         while changed:
             changed = False
-            for t, rows in atoms:
-                support = _support(t, rows, cand)
+            for t, rel in atoms:
+                support = _support(t, rel, cand)
                 for j in range(len(t)):
                     new = cand[t[j]] & support[j]
                     if new != cand[t[j]]:
@@ -155,8 +203,8 @@ class HomSearcher:
             again = repeated[ai]
             if again:
                 queued[ai] = 0
-            t, rows = atoms[ai]
-            support = _support(t, rows, cand)
+            t, rel = atoms[ai]
+            support = _support(t, rel, cand)
             for j in range(len(t)):
                 e = t[j]
                 old = cand[e]

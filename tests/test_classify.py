@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from test_acceptance import VERDICT_TABLE
 
-from slamlog import polymorph
+from slamlog import homsolver, polymorph
 from slamlog.classify import (
     Caps,
     NotSlam,
@@ -215,6 +215,29 @@ def test_verify_duality_pair_small():
     assert rep.holds
     bad = verify_duality_pair([path(4)], path(2), 3)
     assert not bad.holds
+
+
+def test_a_sweep_builds_one_searcher_for_its_template(monkeypatch):
+    template = path(2)
+    targets = []
+    init = homsolver.HomSearcher.__init__
+
+    def counting_init(self, target):
+        targets.append(target)
+        init(self, target)
+    monkeypatch.setattr(homsolver.HomSearcher, "__init__", counting_init)
+
+    def template_searchers(sweep):
+        targets.clear()
+        assert sweep().holds
+        return sum(target is template for target in targets)
+
+    # one searcher per class would be 335 and 117
+    assert template_searchers(
+        lambda: verify_duality_pair([path(3)], template, 4)) == 1
+    slam = emit_slam(template)
+    assert template_searchers(
+        lambda: verify_program_solves(slam, template, 3)) == 1
 
 
 def test_sweep_report_json():

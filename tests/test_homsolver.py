@@ -20,6 +20,9 @@ from slamlog.homsolver import (
     HomSearcher,
     SignatureMismatch,
     WitnessError,
+    _neighbour_masks,
+    _scan_support,
+    _support,
     arc_consistency,
     core_of,
     enumerate_homomorphisms,
@@ -63,6 +66,85 @@ def test_find_homomorphism_agrees_with_brute_force():
     assert hits > 20
 
 
+def _brute_force_ac(a, b):
+    """Greatest arc-consistent candidate sets by the definition: keep a value
+    at a position of a tuple while some target tuple inside the candidate
+    sets takes it there.  None on wipeout."""
+    if a.size and not b.size:
+        return None
+    sets = [frozenset(range(b.size))] * a.size
+    changed = True
+    while changed:
+        changed = False
+        for rel_a, rel_b in zip(a.relations, b.relations):
+            for t in rel_a:
+                inside = [u for u in rel_b
+                          if all(u[j] in sets[e] for j, e in enumerate(t))]
+                for j, e in enumerate(t):
+                    kept = sets[e] & {u[j] for u in inside}
+                    if kept != sets[e]:
+                        if not kept:
+                            return None
+                        sets[e] = kept
+                        changed = True
+    return tuple(sets)
+
+
+def _random_structure(rng, signature, size, density):
+    return make_structure("A", signature, size, {
+        name: {t for t in itertools.product(range(size), repeat=arity)
+               if rng.random() < density}
+        for name, arity in signature})
+
+
+def test_mask_revision_equals_the_row_scan():
+    # A loop atom (e, e) is not pruned to the diagonal: the edge 0 -> 1
+    # supports 0 at its first position and 1 at its second.
+    assert _support((0, 0), _neighbour_masks({(0, 1)}, 2), [0b11]) == \
+        [0b01, 0b10]
+    rng = random.Random(31)
+    atoms = [(0, 1), (1, 0), (1, 2), (0, 0), (2, 2)]
+    for size in (1, 2, 7, 9, 17):
+        full = (1 << size) - 1
+        pool = list(itertools.product(range(size), repeat=2))
+        relations = [set(), set(pool)] + [
+            set(rng.sample(pool, rng.randrange(len(pool) + 1)))
+            for _ in range(8)]
+        for rel in relations:
+            masks, rows = _neighbour_masks(rel, size), sorted(rel)
+            for _ in range(30):
+                cand = [rng.choice((0, full, rng.randrange(full + 1)))
+                        for _ in range(3)]
+                for t in atoms:
+                    assert _support(t, masks, cand) == \
+                        _scan_support(t, rows, cand), (size, rel, cand, t)
+
+
+@pytest.mark.parametrize("signature", [
+    (("E", 2),),
+    (("E", 2), ("R", 3), ("U", 1)),
+])
+def test_search_and_arc_consistency_match_brute_force_on_larger_targets(
+        signature):
+    rng = random.Random(37)
+    hits = 0
+    for _ in range(30):
+        b = _random_structure(rng, signature, rng.randrange(9, 12),
+                              rng.choice((0.05, 0.15, 0.3)))
+        a = _random_structure(rng, signature, rng.randrange(1, 5),
+                              rng.choice((0.2, 0.4)))
+        got = arc_consistency(a, b)
+        want = _brute_force_ac(a, b)
+        assert (None if got is None else got.sets) == want
+        homs = list(enumerate_homomorphisms(a, b))
+        assert homs == [
+            h for h in itertools.product(range(b.size), repeat=a.size)
+            if is_homomorphism(a, b, h)]
+        assert find_homomorphism(a, b) == (homs[0] if homs else None)
+        hits += bool(homs)
+    assert 5 < hits < 30
+
+
 def test_find_on_wide_instance_needs_no_recursion():
     # 2,000 disjoint edges: one branching decision per edge, twice the
     # default recursion limit.
@@ -87,7 +169,10 @@ def test_find_rejects_a_wrong_witness(monkeypatch):
 
 
 def test_weak_rules_sweep_ends_inconclusive_at_its_cap():
-    # The dense (2, 3) indicator has about 1,000 elements to branch on.
+    # At (k0, n0) = (12, 40) WeakRules has more than 2^14 set systems, so
+    # the exact check raises at the stream cap.  Every fallback pair up to
+    # (2, 3) fits under the cap and passes, which refutes nothing and
+    # proves nothing.
     caps = Caps(stream_cap=2 ** 14, max_k=2, max_n=3)
     report = classify(weak_rules_template(), caps)
     assert report.verdicts["caterpillar_lam"].value == "inconclusive"
