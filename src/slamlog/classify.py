@@ -211,12 +211,13 @@ def _caterpillar(b: Structure, caps: Caps, tree: str, k0: int, n0: int):
             "join": _table_json(join), "meet": _table_json(meet),
         }
     if b.size <= 7 and not is_core(b):
-        core, _ = core_of(b)
+        core, retraction = core_of(b)
         lat = lattice_polymorphisms(core)
         if lat is not None:
             join, meet = lat
             return Verdict("yes", "lattice polymorphisms on the core"), {
                 "kind": "lattice_on_core", "core_size": core.size,
+                "retraction": list(retraction),
                 "join": _table_json(join), "meet": _table_json(meet),
             }
     try:

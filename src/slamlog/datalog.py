@@ -2,6 +2,11 @@
 traces, fragment recognition, canonical program generators, and the
 symmetrization repair that turns linear goal derivations into symmetric ones.
 
+The evaluator has one worklist, over integer tables that arc monadic
+programs compile to: a canonical program from its template's rule blocks,
+any other program of the same shape from its rules.  Programs of any other
+shape are grounded up front.
+
 Fragments are combinations of four restrictions: monadic (IDB arity at most
 one), arc (at most one EDB atom per body), linear (at most one IDB atom per
 body), and symmetric (rule reversal closure).  The canonical programs of
@@ -323,291 +328,116 @@ class EvalResult:
     trace: Derivation | None
 
 
-def _rule_plan(rule: Rule, sig: Signature):
-    """The grounding plan of every rule of rule's shape (head args and, per
-    body atom, whether it is EDB and its args), with body atoms named by
-    their index instead of their predicate.
-
-    Arc rules (one EDB atom binding every variable) ground by position
-    indexing into the rows of that atom; everything else goes through the
-    generic recursive matcher.
-    """
-    variables = tuple(dict.fromkeys(
-        [v for atom in (rule.head, *rule.body) for v in atom.args]))
-    edb = [i for i, atom in enumerate(rule.body) if atom.pred in sig]
-    idb = [i for i, atom in enumerate(rule.body) if atom.pred not in sig]
-
-    if len(edb) == 1 and set(variables) <= set(rule.body[edb[0]].args):
-        args = rule.body[edb[0]].args
-        pos = {v: args.index(v) for v in variables}
-        # each repeated position paired with the first one of its variable
-        eq_pairs = tuple([(pos[v], i) for i, v in enumerate(args)
-                          if pos[v] != i])
-        return ("arc", variables, edb[0], eq_pairs, tuple(pos.values()),
-                tuple([pos[v] for v in rule.head.args]),
-                tuple([(i, tuple([pos[v] for v in rule.body[i].args]))
-                       for i in idb]))
-    return ("gen", variables, tuple(edb), tuple(idb))
-
-
-def _compile_rule(rule: Rule, plan):
-    """The plan of rule's shape with rule's predicates put in."""
-    body = rule.body
-    if plan[0] == "arc":
-        kind, variables, e, eq_pairs, var_pos, head_pos, idb = plan
-        return (kind, variables, body[e].pred, eq_pairs, var_pos,
-                rule.head.pred, head_pos,
-                tuple([(body[i].pred, poss) for i, poss in idb]))
-    kind, variables, edb, idb = plan
-    return (kind, variables, tuple([body[i] for i in edb]), rule.head,
-            tuple([body[i] for i in idb]))
-
-
-# id(program) -> (weak reference to it, what it compiled to).  The key is
+# id(program) -> (weak reference to it, its tables or None).  The key is
 # identity, not equality, so hashing a program is never needed and a copy
 # compiles afresh; an entry is dropped when its program is collected.
 _COMPILED_CACHE: dict[int, tuple] = {}
 
 
-def _compiled(p: Program, compile_program):
-    """compile_program(p), computed once per program object."""
+def _compiled(p: Program):
+    """The worklist tables of p, computed once per program object: from its
+    template's blocks when canonical_program built it, else from its rules;
+    None when p is not of canonical shape."""
     entry = _COMPILED_CACHE.get(id(p))
     if entry is not None and entry[0]() is p:
         return entry[1]
-    value = compile_program(p)
+    value = _canonical_tables(*p.origin) if p.origin is not None else \
+        _rule_tables(p)
     _COMPILED_CACHE[id(p)] = (weakref.ref(p), value)
     weakref.finalize(p, _COMPILED_CACHE.pop, id(p), None).atexit = False
     return value
 
 
-def _compiled_rules(p: Program) -> tuple[tuple, bool, dict]:
-    return _compiled(p, _compile_rules)
+def _rule_tables(p: Program):
+    """The tables of _canonical_tables, read off p's rules instead of a
+    template's blocks; None unless p has canonical shape.
 
-
-def _compile_rules(p: Program) -> tuple[tuple, bool, dict]:
-    """The compiled rules of p; whether every body has at most one IDB atom
-    (the linear fragment, which decides whether a trace is kept); and, for
-    each IDB predicate, the rules whose bodies use it in ascending order.
-
-    A rule that is not an arc rule is listed as (None, rule index).  Arc
-    rules are listed in runs: consecutive rules with the same EDB predicate,
-    distinct positions of the predicate in the atom (its keys), equality
-    pairs, head positions and IDB body atoms, which differ only in their
-    head predicate, as (keys, EDB predicate, equality pairs, head
-    positions, IDB body atoms, [(rule index, head predicate), ...]).
-    Plans are compiled once per rule shape."""
+    A program has canonical shape when every rule has one EDB atom whose
+    variables are pairwise distinct and hold every other variable of the
+    rule, its IDB atoms are unary, and its head is unary or goal.  The one
+    rule without an EDB atom is goal :- P(x).  IDB predicates are numbered
+    by first occurrence, and a run is a stretch of users[q] with equal
+    (relation, keys, head position, checks); a goal rule has head subset 0.
+    """
     sig = p.signature
-    edb = frozenset(sig.names())
-    plans: dict = {}
-    compiled = []
+    ids: dict[str, int] = {}
+    initial: list = []
+    users: list[list] = []
     linear = True
-    users: dict[str, list] = {}     # IDB predicate -> entries, as above
     for rule_idx, rule in enumerate(p.rules):
-        shape = (rule.head.args,
-                 tuple([(atom.pred in edb, atom.args) for atom in rule.body]))
-        plan = plans.get(shape)
-        if plan is None:
-            plan = plans[shape] = _rule_plan(rule, sig)
-        c = _compile_rule(rule, plan)
-        compiled.append(c)
-        if c[0] != "arc":
-            linear = linear and len(c[4]) <= 1
-            for q in dict.fromkeys([atom.pred for atom in c[4]]):
-                users.setdefault(q, []).append((None, rule_idx))
-            continue
-        _, _, pred, eq_pairs, _, head_pred, head_pos, idb_pos = c
-        linear = linear and len(idb_pos) <= 1
-        by_q: dict = {}             # IDB predicate -> its distinct positions
-        for q, poss in idb_pos:
-            by_q.setdefault(q, {})[poss] = None
-        for q, keys in by_q.items():
-            run = (tuple(keys), pred, eq_pairs, head_pos, idb_pos)
-            entries = users.setdefault(q, [])
-            if entries and entries[-1][:5] == run:
-                entries[-1][5].append((rule_idx, head_pred))
+        edb = [atom for atom in rule.body if atom.pred in sig]
+        idb = [atom for atom in rule.body if atom.pred not in sig]
+        if len(edb) == 1 and len(set(edb[0].args)) == len(edb[0].args):
+            rel, args = edb[0].pred, edb[0].args
+        elif not edb and len(idb) == 1 and rule.head.pred == GOAL:
+            rel, args = None, idb[0].args
+        else:
+            return None
+        goal = rule.head.pred == GOAL
+        for atom in idb if goal else (rule.head, *idb):
+            if len(atom.args) != 1 or atom.args[0] not in args:
+                return None
+            if atom.pred not in ids:
+                ids[atom.pred] = len(ids)
+                users.append([])
+        s, head = (0, None) if goal else \
+            (ids[rule.head.pred], args.index(rule.head.args[0]))
+        if not idb:
+            if initial and initial[-1][:2] == (rel, head):
+                initial[-1][2].append((s, rule_idx))
             else:
-                entries.append((*run, [(rule_idx, head_pred)]))
-    return tuple(compiled), linear, users
-
-
-def _ground_rule(compiled, a: Structure, rows_of):
-    """All substitutions of a compiled rule that is not an arc rule,
-    deterministic (EDB rows sorted, spare variables ascending).  Yields
-    (bindings, head fact, IDB body facts)."""
-    _, variables, edb, head, idb = compiled
-
-    def matches(env, atom_idx):
-        if atom_idx == len(edb):
-            spare = [v for v in variables if v not in env]
-            for values in itertools.product(range(a.size), repeat=len(spare)):
-                yield {**env, **dict(zip(spare, values))}
-            return
-        atom = edb[atom_idx]
-        for t in rows_of(atom.pred):
-            env2 = dict(env)
-            if all(env2.setdefault(v, x) == x for v, x in zip(atom.args, t)):
-                yield from matches(env2, atom_idx + 1)
-
-    for env in matches({}, 0):
-        bindings = tuple((v, env[v]) for v in variables)
-        head_fact = (head.pred, tuple(env[v] for v in head.args))
-        body_facts = tuple(
-            (atom.pred, tuple(env[v] for v in atom.args)) for atom in idb
-        )
-        yield bindings, head_fact, body_facts
+                initial.append((rel, head, [(s, rule_idx)]))
+            continue
+        linear = linear and len(idb) == 1
+        positions = [args.index(atom.args[0]) for atom in idb]
+        body = [ids[atom.pred] for atom in idb]
+        checks = tuple(zip(positions, body)) if len(idb) > 1 else ()
+        keys: dict = {}          # IDB id -> its columns in the body
+        for x, q in zip(positions, body):
+            keys[q] = keys.get(q, ()) + ((rel, x),)
+        for q, columns in keys.items():
+            entries = users[q]
+            if entries and entries[-1][:4] == (rel, columns, head, checks):
+                run = entries[-1]
+                run[4].append((s, rule_idx))
+                entries[-1] = (*run[:5], run[5] | 1 << s)
+            else:
+                entries.append((rel, columns, head, checks, [(s, rule_idx)],
+                                1 << s))
+    return initial, users, linear, list(ids)
 
 
 def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult:
     """Least fixpoint of the program on the instance.
 
-    Rules are grounded on demand.  Rules without an IDB body atom are
-    grounded first and derive their heads in (rule index, substitution)
-    order.  When a fact is popped from the worklist, each arc rule that uses
-    its predicate is grounded against just the EDB rows that agree with the
-    fact, and a ground instance fires once all of its IDB body facts have
-    been popped; rules are visited in index order and rows in sorted order.
-    A run of arc rules that differ only in their head predicate looks the
-    rows up and filters them once, then fires rule by rule over them.
-    Every fact is therefore derived by the same instance, and facts, goal
-    and trace are equal to those of grounding every rule against every tuple
-    up front.  The first derivation of each fact is remembered, so traces
-    are reproducible.  With stop_at_goal the fixpoint is cut short as soon as
-    the goal fires and the fact set may be partial.
+    A program of canonical shape (see _rule_tables) runs from integer
+    tables.  A program that canonical_program built (its `origin` is set)
+    compiles them from its template's rule blocks, any other from its
+    rules, to the same tables.  For each IDB predicate they list the runs of
+    rules whose bodies use it, a run being a stretch of rules that differ
+    only in their head.  Rules without an IDB body atom fire first, in rule
+    order over sorted rows.  A worklist then pops (predicate, element)
+    states; each run that uses the popped predicate looks up the rows that
+    agree with it once, keeps those whose IDB body facts have all been
+    popped, and fires its rules one after another over them.  A program of
+    any other shape is grounded up front and run with a countdown per
+    ground instance.
 
-    A program that canonical_program built (its `origin` is set) is not read
-    rule by rule: integer tables compiled from its template's rule blocks
-    drive the same worklist over (subset, element) states, in the same rule
-    and row order, so facts, goal and trace are those described above.
+    Either way facts are derived in the order of grounding every rule
+    against every row up front, so facts, goal and trace are those of that
+    full grounding.  The first derivation of each fact is remembered, so
+    traces are reproducible; a trace is kept for linear programs (at most
+    one IDB atom per body).  With stop_at_goal the fixpoint is cut short as
+    soon as the goal fires and the fact set may be partial.
     """
     if p.signature != a.signature:
         raise SignatureMismatch(
             f"program over {p.signature} evaluated on {a.signature}"
         )
-    if p.origin is not None:
-        return _evaluate_canonical(p, a, stop_at_goal)
-    compiled_rules, linear, users = _compiled_rules(p)
-    index: dict = {}         # (pred, positions) -> projection -> sorted rows
-
-    def rows_at(pred: str, poss: tuple = (), args: tuple = ()) -> list:
-        by_args = index.get((pred, poss))
-        if by_args is None:
-            by_args = index[pred, poss] = {}
-            for t in sorted(a.rel(pred)):
-                by_args.setdefault(tuple([t[i] for i in poss]), []).append(t)
-        return by_args.get(args, ())
-
-    provenance: dict = {}    # fact -> (rule index, row or bindings, body)
-    queue = deque()
-
-    def derive(head, rule_idx, binder, body) -> bool:
-        """Record the first derivation; True when the evaluation stops."""
-        provenance[head] = (rule_idx, binder, body)
-        queue.append(head)
-        return stop_at_goal and head == GOAL_FACT
-
-    waiting: dict = {}       # (rule index, fact) -> ground instances
-    for rule_idx, c in enumerate(compiled_rules):
-        if c[0] == "arc":
-            _, _, pred, eq_pairs, _, head_pred, head_pos, idb_pos = c
-            if idb_pos:
-                continue
-            for t in rows_at(pred):
-                head = (head_pred, tuple([t[i] for i in head_pos]))
-                if head not in provenance and \
-                        all(t[i] == t[j] for i, j in eq_pairs):
-                    derive(head, rule_idx, t, ())
-            continue
-        for bindings, head, body in _ground_rule(c, a, rows_at):
-            if body:
-                for fact in dict.fromkeys(body):
-                    waiting.setdefault((rule_idx, fact), []).append(
-                        (bindings, head, body))
-            elif head not in provenance:
-                derive(head, rule_idx, bindings, ())
-
-    popped = set()
-    stop = stop_at_goal and GOAL_FACT in provenance
-    while queue and not stop:
-        fact = queue.popleft()
-        popped.add(fact)
-        for entry in users.get(fact[0], ()):
-            if entry[0] is None:
-                rule_idx = entry[1]
-                for bindings, head, body in waiting.get((rule_idx, fact), ()):
-                    if head in provenance or \
-                            not all(f in popped for f in body):
-                        continue
-                    if stop := derive(head, rule_idx, bindings, body):
-                        break
-            else:
-                keys, pred, eq_pairs, head_pos, idb_pos, heads = entry
-                if len(keys) == 1:
-                    rows = rows_at(pred, keys[0], fact[1])
-                else:
-                    rows = sorted({t for poss in keys
-                                   for t in rows_at(pred, poss, fact[1])})
-                # the rows every rule of the run fires on, with head args
-                ready = []
-                for t in rows:
-                    if eq_pairs and not all(t[i] == t[j] for i, j in eq_pairs):
-                        continue
-                    if len(idb_pos) == 1:   # the row agrees with the fact
-                        body = (fact,)
-                    else:
-                        body = tuple([(q, tuple([t[i] for i in poss]))
-                                      for q, poss in idb_pos])
-                        if not all(f in popped for f in body):
-                            continue
-                    ready.append((t, tuple([t[i] for i in head_pos]), body))
-                # rule-major, as if each rule of the run were visited alone
-                for rule_idx, head_pred in heads:
-                    for t, args, body in ready:
-                        head = (head_pred, args)
-                        if head not in provenance and \
-                                (stop := derive(head, rule_idx, t, body)):
-                            break
-                    if stop:
-                        break
-            if stop:
-                break
-
-    facts = frozenset(provenance)
-    goal = GOAL_FACT in provenance
-    trace = None
-    if goal and linear:
-        steps = []
-        fact = GOAL_FACT
-        while True:
-            rule_idx, binder, body = provenance[fact]
-            c = compiled_rules[rule_idx]
-            if c[0] == "arc":
-                binder = tuple(zip(c[1], (binder[i] for i in c[4])))
-            steps.append(DerivationStep(fact=fact, rule_index=rule_idx,
-                                        bindings=binder))
-            if not body:
-                break
-            fact = body[0]
-        trace = Derivation(program=p, steps=tuple(reversed(steps)))
-    return EvalResult(facts=facts, goal=goal, trace=trace)
-
-
-def _row_bindings(head: int | None, t: tuple) -> tuple:
-    """The bindings of a canonical rule grounded on row t: the head variable
-    x{head+1} first, then x1, x2, ... in order."""
-    order = range(len(t)) if head is None else \
-        (head, *[i for i in range(len(t)) if i != head])
-    return tuple([(f"x{i + 1}", t[i]) for i in order])
-
-
-def _evaluate_canonical(p: Program, a: Structure,
-                        stop_at_goal: bool) -> EvalResult:
-    """evaluate on a canonical program, from the tables of its blocks.
-
-    A state is (subset mask, element) for the fact P_subset(element); each
-    element has a mask of the subsets derived for it and of those popped.
-    """
-    initial, users, linear, names = _compiled(
-        p, lambda p: _canonical_tables(*p.origin))
+    tables = _compiled(p)
+    if tables is None:
+        return _evaluate_grounded(p, a, stop_at_goal)
+    initial, users, linear, names = tables
     rows_of = {}
     columns: dict = {}       # (relation, position) -> element -> sorted rows
     for sym, r in a.signature.symbols:
@@ -617,17 +447,18 @@ def _evaluate_canonical(p: Program, a: Structure,
             for t in rows_of[sym]:
                 by_value.setdefault(t[x], []).append(t)
 
+    # a state (q, element) stands for the fact names[q](element); each
+    # element has a mask of the predicates derived for it and of those popped
     derived = [0] * a.size
     popped = [0] * a.size
-    # state or GOAL_FACT -> (rule index, head position, row, body state)
-    provenance: dict = {}
+    provenance: dict = {}    # state or GOAL_FACT -> (rule index, row, body)
     queue = deque()
 
     for rel, head, rules in initial:
         rows = rows_of[rel]
         if head is None:
             if rows and GOAL_FACT not in provenance:
-                provenance[GOAL_FACT] = (rules[0][1], None, rows[0], None)
+                provenance[GOAL_FACT] = (rules[0][1], rows[0], None)
             continue
         for s, rule_idx in rules:
             bit = 1 << s
@@ -635,7 +466,7 @@ def _evaluate_canonical(p: Program, a: Structure,
                 w = t[head]
                 if not derived[w] & bit:
                     derived[w] |= bit
-                    provenance[s, w] = (rule_idx, head, t, None)
+                    provenance[s, w] = (rule_idx, t, None)
                     queue.append((s, w))
 
     stop = stop_at_goal and GOAL_FACT in provenance
@@ -644,7 +475,7 @@ def _evaluate_canonical(p: Program, a: Structure,
         q, v = state
         popped[v] |= 1 << q
         for rel, keys, head, checks, rules, heads in users[q]:
-            if rel is None:         # goal :- Pempty(x1)
+            if rel is None:         # goal :- P(x1)
                 rows = ((v,),)
             elif len(keys) == 1:
                 rows = columns[keys[0]].get(v, ())
@@ -653,12 +484,12 @@ def _evaluate_canonical(p: Program, a: Structure,
             else:
                 rows = sorted({t for key in keys
                                for t in columns[key].get(v, ())})
-            if head is None:        # a goal rule, alone in its run
+            if head is None:        # goal rules fire alike; the first wins
                 if GOAL_FACT in provenance:
                     continue
                 for t in rows:
                     if all([popped[t[x]] >> c & 1 for x, c in checks]):
-                        provenance[GOAL_FACT] = (rules[0][1], None, t, state)
+                        provenance[GOAL_FACT] = (rules[0][1], t, state)
                         stop = stop_at_goal
                         break
                 if stop:
@@ -683,7 +514,7 @@ def _evaluate_canonical(p: Program, a: Structure,
                 for w, t in targets.items():
                     if not derived[w] & bit:
                         derived[w] |= bit
-                        provenance[s, w] = (rule_idx, head, t, state)
+                        provenance[s, w] = (rule_idx, t, state)
                         queue.append((s, w))
 
     def fact(state):
@@ -696,12 +527,102 @@ def _evaluate_canonical(p: Program, a: Structure,
         steps = []
         state = GOAL_FACT
         while state is not None:
-            rule_idx, head, t, body = provenance[state]
+            rule_idx, t, body = provenance[state]
+            # a rule's variables in order of first occurrence, each at its
+            # position in the EDB atom (in the IDB atom of goal :- P(x))
+            rule = p.rules[rule_idx]
+            value = dict(zip(next((atom.args for atom in rule.body
+                                   if atom.pred in p.signature),
+                                  rule.body[0].args), t))
+            bindings = tuple([(v, value[v]) for v in dict.fromkeys(
+                [v for atom in (rule.head, *rule.body) for v in atom.args])])
             steps.append(DerivationStep(fact=fact(state), rule_index=rule_idx,
-                                        bindings=_row_bindings(head, t)))
+                                        bindings=bindings))
             state = body
         trace = Derivation(program=p, steps=tuple(reversed(steps)))
     return EvalResult(facts=facts, goal=goal, trace=trace)
+
+
+def _evaluate_grounded(p: Program, a: Structure,
+                       stop_at_goal: bool) -> EvalResult:
+    """evaluate on a program not of canonical shape, every rule grounded up
+    front: EDB atoms in body order against sorted rows, then the variables
+    no EDB atom binds over every element, ascending.  Ground instances
+    without IDB body atoms fire in that order; any other fires once the
+    last of its distinct IDB body facts is popped."""
+    rows = {sym: sorted(a.rel(sym)) for sym in p.signature.names()}
+    instances = []           # (rule index, bindings, head, IDB body facts)
+    waiting: dict = {}       # fact -> the instances whose bodies use it
+    counts = []              # per instance, its body facts not yet popped
+    linear = True
+    for rule_idx, rule in enumerate(p.rules):
+        variables = tuple(dict.fromkeys(
+            [v for atom in (rule.head, *rule.body) for v in atom.args]))
+        edb = [atom for atom in rule.body if atom.pred in rows]
+        idb = [atom for atom in rule.body if atom.pred not in rows]
+        linear = linear and len(idb) <= 1
+        envs = [{}]
+        for atom in edb:
+            envs = [env for env in (_bind(env, atom.args, t) for env in envs
+                                    for t in rows[atom.pred])
+                    if env is not None]
+        bound = {v for atom in edb for v in atom.args}
+        spare = [v for v in variables if v not in bound]
+        for env in envs:
+            for values in itertools.product(range(a.size), repeat=len(spare)):
+                at = {**env, **dict(zip(spare, values))}
+                body = tuple(dict.fromkeys(
+                    [(atom.pred, tuple([at[v] for v in atom.args]))
+                     for atom in idb]))
+                for f in body:
+                    waiting.setdefault(f, []).append(len(instances))
+                counts.append(len(body))
+                instances.append((
+                    rule_idx, tuple([(v, at[v]) for v in variables]),
+                    (rule.head.pred, tuple([at[v] for v in rule.head.args])),
+                    body))
+
+    provenance: dict = {}    # fact -> (rule index, bindings, body facts)
+    queue = deque()
+
+    def fire(i):
+        rule_idx, bindings, head, body = instances[i]
+        if head not in provenance:
+            provenance[head] = (rule_idx, bindings, body)
+            queue.append(head)
+
+    for i, count in enumerate(counts):
+        if not count:
+            fire(i)
+    while queue and not (stop_at_goal and GOAL_FACT in provenance):
+        for i in waiting.get(queue.popleft(), ()):
+            counts[i] -= 1
+            if not counts[i]:
+                fire(i)
+                if stop_at_goal and GOAL_FACT in provenance:
+                    break
+
+    goal = GOAL_FACT in provenance
+    trace = None
+    if goal and linear:
+        steps = []
+        fact = GOAL_FACT
+        while fact is not None:
+            rule_idx, bindings, body = provenance[fact]
+            steps.append(DerivationStep(fact=fact, rule_index=rule_idx,
+                                        bindings=bindings))
+            fact = body[0] if body else None
+        trace = Derivation(program=p, steps=tuple(reversed(steps)))
+    return EvalResult(facts=frozenset(provenance), goal=goal, trace=trace)
+
+
+def _bind(env: dict, args: tuple, t: tuple) -> dict | None:
+    """env extended by binding args to t, or None where they disagree."""
+    env = dict(env)
+    for v, x in zip(args, t):
+        if env.setdefault(v, x) != x:
+            return None
+    return env
 
 
 # ---------------------------------------------------------------------------

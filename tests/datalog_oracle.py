@@ -1,9 +1,11 @@
 """Reference Datalog evaluator that grounds every rule against every tuple
 before it starts, then runs the worklist with a countdown per ground
-instance.  `slamlog.datalog.evaluate` grounds on demand and must return the
-same facts, goal and trace; the differential tests in test_datalog.py hold
-it to that.  Slow and memory-hungry on large programs, so kept out of the
-package."""
+instance.  `slamlog.datalog.evaluate` runs arc monadic programs from
+integer tables, compiled from a template's rule blocks or from the rules,
+and must return the same facts, goal and trace; the differential tests in
+test_datalog.py hold it to that, for canonical programs, the same programs
+parsed back and hand-written ones.  Slow and memory-hungry on large
+programs, so kept out of the package."""
 
 from __future__ import annotations
 

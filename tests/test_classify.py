@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import types
@@ -23,6 +24,7 @@ from slamlog.datalog import canonical_program, fragment_of
 from slamlog.fixtures import (
     b_n,
     caterpillar_example,
+    digraph,
     directed_cycle,
     f_n,
     horn_sat,
@@ -32,7 +34,13 @@ from slamlog.fixtures import (
     transitive_tournament,
     weak_rules_template,
 )
-from slamlog.polymorph import CapExceeded, condition_pairs, quasi_maltsev
+from slamlog.homsolver import core_of, is_homomorphism
+from slamlog.polymorph import (
+    CapExceeded,
+    OperationTable,
+    condition_pairs,
+    quasi_maltsev,
+)
 from slamlog.structures import Signature, make_structure
 
 
@@ -101,6 +109,34 @@ def test_quasi_maltsev_witness_in_report():
 def test_caterpillar_witness_kinds():
     assert classify(path(2)).witnesses["caterpillar_lam"]["kind"] == "lattice"
     assert classify(b_n(2)).witnesses["caterpillar_lam"]["kind"] == "absorptive"
+
+
+def test_lattice_on_core_witness_names_its_core():
+    # a zigzag: not a core, and its six elements are too many for the
+    # lattice search, but its core, a single edge, has lattice polymorphisms
+    b = digraph(6, [(0, 3), (1, 3), (1, 4), (2, 4), (2, 5)])
+    rep = classify(b)
+    assert rep.verdicts["caterpillar_lam"].value == "yes"
+    assert rep.verdicts["slam"].value == "yes"
+    witness = rep.witnesses["caterpillar_lam"]
+    assert witness["kind"] == "lattice_on_core"
+    core, retraction = core_of(b)
+    assert witness["core_size"] == core.size
+    assert witness["retraction"] == list(retraction)
+    assert is_homomorphism(b, core, witness["retraction"])
+    join, meet = (OperationTable(**witness[op]) for op in ("join", "meet"))
+    assert join.is_polymorphism_of(core) and meet.is_polymorphism_of(core)
+    elements = range(core.size)
+    for x, y in itertools.product(elements, repeat=2):
+        assert join.apply((x, y)) == join.apply((y, x))
+        assert meet.apply((x, y)) == meet.apply((y, x))
+        assert meet.apply((x, join.apply((x, y)))) == x
+        assert join.apply((x, meet.apply((x, y)))) == x
+        for z in elements:
+            assert join.apply((join.apply((x, y)), z)) == \
+                join.apply((x, join.apply((y, z))))
+            assert meet.apply((meet.apply((x, y)), z)) == \
+                meet.apply((x, meet.apply((y, z))))
 
 
 def test_horn_sat_refutation_names_the_pair():

@@ -128,6 +128,20 @@ def test_eval_json_reports_goal(files, capsys, monkeypatch):
     assert blob["facts"]
 
 
+def test_eval_of_piped_slam_text_derives_as_solve(files, capsys,
+                                                  monkeypatch):
+    # the parsed program runs from tables compiled from its rules, the
+    # emitted one from its template's blocks: same derivation either way
+    assert main(["solve", files["p2"], files["c3"], "--json"]) == 1
+    solved = json.loads(capsys.readouterr().out)
+    program = render_program(canonical_program(path(2), "slam"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(program))
+    assert main(["eval", "-", files["c3"], "--json"]) == 0
+    evaluated = json.loads(capsys.readouterr().out)
+    assert evaluated["goal"] is True
+    assert evaluated["derivation"] == solved["derivation"]
+
+
 def test_unfold_round_trip(files, capsys):
     assert main(["unfold", files["tree"], "2", "5"]) == 0
     out = capsys.readouterr().out

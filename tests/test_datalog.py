@@ -12,6 +12,7 @@ from datalog_oracle import evaluate_grounded
 from slamlog import datalog
 from slamlog.classify import enumerate_instances
 from slamlog.datalog import (
+    GOAL,
     Atom,
     DatalogFormatError,
     Derivation,
@@ -346,42 +347,78 @@ RUN_ORDER_WITNESS = (8, [(0, 1), (0, 7), (1, 2), (2, 6), (3, 2), (4, 3),
                          (5, 4)])
 
 
-def test_canonical_tables_equal_the_generic_path():
-    """evaluate on a canonical program runs from its template's tables; the
-    same rules parsed back have no origin and take the generic path."""
-    rng = random.Random(6063)
-    templates = (path(2), path(3), path(4), transitive_tournament(3),
-                 directed_cycle(3), b_n(2), st_con(), horn_sat(), f_n(3))
-    goals = traces = 0
-    for b in templates:
+FIXTURES = (path(2), path(3), path(4), transitive_tournament(3),
+            directed_cycle(3), b_n(2), st_con(), horn_sat(), f_n(3))
+
+
+def _parsed_canonical_programs():
+    """(template, fragment, canonical program, the same rules parsed back)
+    for every fixture and fragment, am up to three elements."""
+    for b in FIXTURES:
         for fragment in ("am", "lam", "slam"):
             if fragment == "am" and b.size > 3:
                 continue
             p = canonical_program(b, fragment)
-            generic = parse_program(p.render(), p.signature)
-            assert generic.origin is None and generic == p
-            # solve runs am on at most 10 vertices; am(F3) has 16,630 rules
-            sizes = (1, 2, 3, 4, 7, 10, 30, 60) if fragment != "am" else \
-                (1, 2, 3, 4, 7, 10) if len(p.rules) < 10_000 else (2, 7)
-            instances = [_random_instance(b.signature, rng, size)
-                         for size in sizes]
-            if b.name == "P4":
-                instances.append(digraph(*RUN_ORDER_WITNESS))
-            for a in instances:
-                for stop in (False, True):
-                    got = _outcome(evaluate(p, a, stop_at_goal=stop))
-                    assert got == _outcome(evaluate(generic, a,
-                                                    stop_at_goal=stop)), \
-                        (b.name, fragment, a.size, stop)
-                    goals += got[1]
-                    traces += got[2] is not None
+            parsed = parse_program(p.render(), p.signature)
+            assert parsed.origin is None and parsed == p
+            yield b, fragment, p, parsed
+
+
+def test_canonical_tables_equal_the_generic_path():
+    """Canonical rules parsed back have no origin but canonical shape, so
+    they run from tables compiled from their rules; full grounding is the
+    reference."""
+    rng = random.Random(6063)
+    goals = traces = 0
+    for b, fragment, p, parsed in _parsed_canonical_programs():
+        # solve runs am on at most 10 vertices; am(F3) has 16,630 rules
+        sizes = (1, 2, 3, 4, 7, 10, 30, 60) if fragment != "am" else \
+            (1, 2, 3, 4, 7, 10) if len(p.rules) < 10_000 else (2, 7)
+        instances = [_random_instance(b.signature, rng, size)
+                     for size in sizes]
+        if b.name == "P4":
+            instances.append(digraph(*RUN_ORDER_WITNESS))
+        for a in instances:
+            for stop in (False, True):
+                got = _outcome(evaluate(parsed, a, stop_at_goal=stop))
+                assert got == _outcome(evaluate_grounded(
+                    parsed, a, stop_at_goal=stop)), \
+                    (b.name, fragment, a.size, stop)
+                goals += got[1]
+                traces += got[2] is not None
     assert goals > 200 and traces > 100
 
 
+def test_rule_tables_equal_block_tables():
+    """The tables compiled from a canonical program's rules are those of
+    its template's blocks, up to renaming the IDB ids: the same runs with
+    the same rule indices."""
+    for b, fragment, _, parsed in _parsed_canonical_programs():
+        initial, users, linear, names = datalog._rule_tables(parsed)
+        want_initial, want_users, want_linear, _ = \
+            datalog._canonical_tables(b, fragment)
+        mask = [sum(1 << e for e in name_subset(name)) for name in names]
+
+        def renamed(head, s):       # a goal rule's head subset is 0
+            return s if head is None else mask[s]
+
+        assert linear == want_linear
+        assert [(rel, head, [(renamed(head, s), i) for s, i in rules])
+                for rel, head, rules in initial] == want_initial
+        got_users = [[] for _ in want_users]
+        for q, entries in enumerate(users):
+            got_users[mask[q]] = [
+                (rel, keys, head, tuple([(x, mask[c]) for x, c in checks]),
+                 [(renamed(head, s), i) for s, i in rules],
+                 sum([1 << renamed(head, s) for s in datalog._bits(heads)]))
+                for rel, keys, head, checks, rules, heads in entries]
+        assert got_users == want_users, (b.name, fragment)
+
+
 def test_canonical_programs_never_compile_rules(monkeypatch):
-    def refuse(rule, sig):
-        raise AssertionError("_rule_plan reached")
-    monkeypatch.setattr(datalog, "_rule_plan", refuse)
+    def refuse(p):
+        raise AssertionError("_rule_tables reached")
+    monkeypatch.setattr(datalog, "_rule_tables", refuse)
     rng = random.Random(6064)
     for b in (path(3), horn_sat()):
         for fragment in ("am", "lam", "slam"):
@@ -390,7 +427,7 @@ def test_canonical_programs_never_compile_rules(monkeypatch):
                 a = _random_instance(b.signature, rng, size)
                 evaluate(copy.copy(p), a)
     parsed = parse_program(p.render(), p.signature)
-    with pytest.raises(AssertionError, match="_rule_plan reached"):
+    with pytest.raises(AssertionError, match="_rule_tables reached"):
         evaluate(parsed, a)
 
 
@@ -427,9 +464,10 @@ goal :- E(x,y), D(x), D(y), W(y).
 """
 
 # Arc rules that differ only in their head predicate form one run: A, B, C
-# on P; then X, another shape, breaks it and D resumes it as a new run; L, M
-# need equal columns.  Which goal rule fires first depends on the order the
-# run's heads are queued in.
+# on P; then X, with another head position, breaks it and D resumes it as a
+# new run.  L, M repeat a variable, so the program is grounded up front;
+# without them it runs from tables.  Which goal rule fires first depends on
+# the order the run's heads are queued in.
 RUN_PROGRAM = """
 P(x) :- R(x).
 A(y) :- E(x,y), P(x).
@@ -461,31 +499,44 @@ goal :- G(x), T(x).
 
 
 def _runs(p):
-    """The runs of arc rules in p's users index: (IDB predicate, EDB
-    predicate, equality pairs, IDB body atoms, head predicates)."""
-    return [(q, e[1], e[2], len(e[4]), [head for _, head in e[5]])
-            for q, entries in datalog._compiled_rules(p)[2].items()
-            for e in entries if e[0] is not None]
+    """The runs in the users tables of p: (IDB predicate, relation, keys,
+    head position, checks, head predicates)."""
+    _, users, _, names = datalog._rule_tables(p)
+    return [(names[q], rel, keys, head,
+             tuple([(x, names[c]) for x, c in checks]),
+             [GOAL if head is None else names[s] for s, _ in rules])
+            for q, entries in enumerate(users) for rel, keys, head, checks,
+            rules, _ in entries]
 
 
 def test_on_demand_grounding_equals_full_grounding_on_hand_programs():
+    """Programs of canonical shape run from tables compiled from their
+    rules; the rest (two EDB atoms, a repeated variable, a non-unary or
+    EDB-free IDB rule) are grounded up front.  Both equal the oracle."""
     rng = random.Random(6062)
     p = parse_program(HAND_PROGRAM)
-    kinds = [c[0] for c in datalog._compiled_rules(p)[0]]
-    assert kinds.count("gen") == 3 and kinds.count("arc") == 12
     linear = parse_program("P(x) :- E(x,y).\nQ(y) :- E(x,y), P(x).\n"
                            "Q(x) :- E(x,y), P(y).\ngoal :- R(x), Q(x).\n"
                            "goal :- E(x,x), Q(x).\n")
     runs = parse_program(RUN_PROGRAM)
-    assert [r for r in _runs(runs) if r[0] == "P"] == [
-        ("P", "E", (), 1, ["A", "B", "C"]), ("P", "E", (), 1, ["X"]),
-        ("P", "E", (), 1, ["D"]), ("P", "E", ((0, 1),), 1, ["L", "M"])]
+    arc_runs = parse_program("\n".join(
+        line for line in RUN_PROGRAM.splitlines() if "E(x,x)" not in line),
+        runs.signature)
     two_idb = parse_program(TWO_IDB_RUN_PROGRAM)
-    assert [r for r in _runs(two_idb) if r[4] == ["S", "T"]] == [
-        ("P", "E", (), 2, ["S", "T"]), ("Q", "E", (), 2, ["S", "T"])]
+    for prog in (p, linear, runs):
+        assert datalog._rule_tables(prog) is None
+    on_p = (("E", 0),)
+    assert [r for r in _runs(arc_runs) if r[0] == "P"] == [
+        ("P", "E", on_p, 1, (), ["A", "B", "C"]),
+        ("P", "E", on_p, 0, (), ["X"]), ("P", "E", on_p, 1, (), ["D"])]
+    checks = ((0, "P"), (1, "Q"))
+    assert [r for r in _runs(two_idb) if r[5] == ["S", "T"]] == [
+        ("P", "E", on_p, 1, checks, ["S", "T"]),
+        ("Q", "E", (("E", 1),), 1, checks, ["S", "T"])]
+    assert ("T", "G", (("G", 0),), None, (), ["goal"]) in _runs(two_idb)
     goals = 0
     for i in range(150):
-        for prog in (p, linear, runs, two_idb):
+        for prog in (p, linear, runs, arc_runs, two_idb):
             a = _random_instance(prog.signature, rng, rng.randrange(1, 6))
             if i % 5 == 0:
                 empty = {sym: set() if sym == "R" else a.rel(sym)
