@@ -942,9 +942,9 @@ def _check_valid(rule: Rule, b: Structure) -> None:
         raise RepairFailed(f"invalid rule {rule.render()!r}")
 
 
-def repair_to_symmetric(d: Derivation, b: Structure) -> Derivation:
-    """Rebuild a linear goal derivation with rules of the canonical slam
-    program.
+def repair_to_symmetric(d: Derivation, slam: Program) -> Derivation:
+    """Rebuild a linear goal derivation with rules of `slam`, which must be
+    canonical_program(b, "slam") of the template b, built once per caller.
 
     The step relations are extracted from the used rules, the initial sets
     are shrunk to the reachable minimum, and the whole chain is closed under
@@ -953,6 +953,10 @@ def repair_to_symmetric(d: Derivation, b: Structure) -> Derivation:
     invalid, which cannot happen for templates with a quasi Maltsev
     polymorphism.
     """
+    if slam.origin is None or slam.origin[1] != "slam":
+        raise ValueError("repair needs a program built by "
+                         "canonical_program(b, 'slam')")
+    b = slam.origin[0]
     if not d.steps or d.steps[-1].fact != GOAL_FACT:
         raise RepairFailed("derivation does not end in the goal")
     sig = b.signature
@@ -962,7 +966,6 @@ def repair_to_symmetric(d: Derivation, b: Structure) -> Derivation:
     goal_step = d.steps[-1]
     goal_rule = d.program.rules[goal_step.rule_index]
     goal_edb, goal_idb = _step_pieces(goal_rule, sig)
-    slam = canonical_program(b, "slam")
 
     def locate(rule: Rule) -> int:
         """The index of the last slam rule equal to rule up to renaming."""

@@ -11,8 +11,12 @@ and owns the stream cap: the indicator and the polymorphism check of an
 operation table use it.
 
 The subset power and the set systems of absorptive conditions are built
-from their generators, not from the power.  `absorptive_check` decides on
-set systems only; its oracle is the dense indicator of the same condition,
+from their generators by one kernel, `_join_closure`, the bounded-depth OR
+closure of a set of mask tuples.  A set system (a canonical antichain of
+blocks) is its up-set among the candidate blocks, the OR of its blocks'
+up-sets, so no family is ever minimised.  `absorptive_check` decides on
+set systems only, builds `SetSystem` objects only for a witness map that
+is read, and has the dense indicator of the same condition as its oracle,
 `find_polymorphism_satisfying(b, block_symmetric_absorptive(k, n))`.
 """
 
@@ -23,7 +27,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .homsolver import WitnessError, find_homomorphism
 from .structures import Partition, Structure
@@ -385,28 +389,35 @@ def _nonempty_subsets(size: int) -> tuple[frozenset[int], ...]:
                  for m in range(1, 1 << size))
 
 
+def _join_closure(gens, depth: int, cap: int, what: str) -> set:
+    """The coordinatewise ORs of at most `depth` of the mask tuples `gens`,
+    one generator count per level, each level joining the last one's new
+    tuples with every generator.  Raises CapExceeded above cap tuples."""
+    seen = set(gens)
+    level = seen
+    for _ in range(depth - 1):
+        if not level or len(seen) > cap:
+            break
+        level = {tuple(map(operator.or_, t, g))
+                 for t in level for g in gens} - seen
+        seen |= level
+    if len(seen) > cap:
+        raise CapExceeded(f"{what} has more than {cap} tuples")
+    return seen
+
+
 def subset_power_structure(b: Structure,
                            stream_cap: int = DEFAULT_STREAM_CAP) -> Structure:
     """Structure on the nonempty subsets of b's domain, the subset with bit
     mask m as element m - 1.  A relation holds the coordinate projections of
-    each nonempty set of its rows: the closure of the rows' singleton tuples
-    under componentwise union, capped at stream_cap tuples."""
+    each nonempty set of its rows: the join closure of the rows' singleton
+    tuples, capped at stream_cap tuples."""
     rels = []
     for sym, _, rel in b.relation_items():
         gens = {tuple(1 << v for v in u) for u in rel}
-        seen = set(gens)
-        work = list(gens)
-        while work:
-            t = work.pop()
-            for g in gens:
-                u = tuple(map(operator.or_, t, g))
-                if u not in seen:
-                    seen.add(u)
-                    work.append(u)
-            if len(seen) > stream_cap:
-                raise CapExceeded(f"subset power relation {sym} has more "
-                                  f"than {stream_cap} tuples")
-        rels.append(frozenset(tuple(m - 1 for m in t) for t in seen))
+        closure = _join_closure(gens, len(gens), stream_cap,
+                                f"subset power relation {sym}")
+        rels.append(frozenset(tuple(m - 1 for m in t) for t in closure))
     return Structure(
         signature=b.signature,
         size=(1 << b.size) - 1,
@@ -464,86 +475,92 @@ def canonical_set_system(blocks) -> SetSystem:
 @dataclass(frozen=True)
 class AbsorptiveResult:
     """Outcome of absorptive_check, decided on set systems.  A "yes"
-    carries `witness_map`, the homomorphism from the set-system structure
-    to the template: the operation sends a tuple to the value of the
-    canonical set system of its blocks.  A "no" carries None.
-    `indicator_size` is the number of set systems."""
+    carries `hom`, the homomorphism from the set-system structure to the
+    template, and `witness_map`, built when first read: the operation sends
+    a tuple to the value of the canonical set system of its blocks.  A "no"
+    carries None.  `systems` holds each set system's sort key."""
 
     status: str                     # "yes" | "no"
     k: int
     n: int
     indicator_size: int
-    witness_map: tuple[tuple[SetSystem, int], ...] | None = None
+    hom: tuple[int, ...] | None = None
+    systems: list[tuple[tuple[int, ...], ...]] = field(
+        default_factory=list, repr=False, compare=False)
     strategy = "setsystem"          # not a field: the one way to decide
 
+    @functools.cached_property
+    def witness_map(self) -> tuple[tuple[SetSystem, int], ...] | None:
+        if self.hom is None:
+            return None
+        # blocks go in by size, then elements: a frozenset iterates in an
+        # order that depends on insertion, and reports list them in it
+        return tuple(
+            (SetSystem(frozenset(map(frozenset, sorted(blocks, key=len)))), v)
+            for blocks, v in zip(self.systems, self.hom))
 
-def _enumerate_antichains(subsets: list[frozenset[int]], n: int,
-                          cap: int) -> list[SetSystem]:
+
+def _enumerate_antichains(blocks: list[tuple[int, ...]], up: list[int],
+                          n: int, cap: int) -> tuple[list, list[int]]:
+    """The antichains of at most n of `blocks` (sorted tuples, in sorted
+    order; `up` their up-sets), as their sort keys and up-sets in sort key
+    order: depth first, each block followed by later ones only.  Raises
+    CapExceeded when there are more than cap + 1."""
     # Every family of at most n subsets of one size is an antichain, and
     # families inside different layers differ, so the layers' counts summed
-    # bound the count from below before anything is built.  The enumeration
-    # below raises exactly when the count exceeds cap + 1.
-    if sum(math.comb(layer, r) for layer in Counter(map(len, subsets)).values()
+    # bound the count from below before anything is built.
+    if sum(math.comb(layer, r) for layer in Counter(map(len, blocks)).values()
            for r in range(1, n + 1)) > cap + 1:
         raise CapExceeded(f"more than {cap} set systems")
-    found: list[tuple[frozenset[int], ...]] = []
-
-    def extend(start: int, chosen: list[frozenset[int]]):
-        if len(found) > cap:
-            raise CapExceeded(f"more than {cap} set systems")
-        if chosen:
-            found.append(tuple(chosen))
-        if len(chosen) == n:
-            return
-        for i in range(start, len(subsets)):
-            s = subsets[i]
-            if any(s <= o or o <= s for o in chosen):
-                continue
-            chosen.append(s)
-            extend(i + 1, chosen)
-            chosen.pop()
-
-    extend(0, [])
-    out = [SetSystem(blocks=frozenset(blocks)) for blocks in found]
-    out.sort(key=lambda ss: ss.sort_key())
-    return out
+    clash = [sum(1 << j for j, v in enumerate(up) if u >> j & 1 or v >> i & 1)
+             for i, u in enumerate(up)]
+    keys, ups = [], []
+    stack = [((), 0, 0, 0)]         # (key, up-set, clashing blocks, next)
+    while stack:
+        key, u, banned, start = stack.pop()
+        if key:
+            keys.append(key)
+            ups.append(u)
+            if len(keys) > cap + 1:
+                raise CapExceeded(f"more than {cap} set systems")
+        if len(key) < n:
+            stack.extend((key + (blocks[i],), u | up[i], banned | clash[i],
+                          i + 1) for i in reversed(range(start, len(blocks)))
+                         if not banned >> i & 1)
+    return keys, ups
 
 
 def _setsystem_structure(
     b: Structure, k: int, n: int, stream_cap: int
-) -> tuple[Structure, list[SetSystem]]:
-    subsets = [
-        frozenset(s)
-        for size in range(1, min(k, b.size) + 1)
-        for s in itertools.combinations(range(b.size), size)
-    ]
-    systems = _enumerate_antichains(subsets, n, cap=stream_cap)
-    index = {ss: i for i, ss in enumerate(systems)}
-
-    # one canonicalisation per distinct block set, not per combination
-    @functools.cache
-    def system_of(blocks: frozenset[frozenset[int]]) -> int:
-        return index[canonical_set_system(blocks)]
-
+) -> tuple[Structure, list]:
+    """The structure on canonical antichains of at most n blocks of at most
+    k elements, in sort key order, and their sort keys.  A relation holds
+    the antichains of the blocks of each set of at most n supports (sets of
+    at most k rows): as up-sets, the depth-n join closure of the supports'
+    up-sets, which are the depth-k join closure of the rows' masks."""
+    blocks = sorted(s for r in range(1, min(k, b.size) + 1)
+                    for s in itertools.combinations(range(b.size), r))
+    masks = [sum(1 << v for v in s) for s in blocks]
+    # the up-set of block i: the blocks that contain it, as a mask over
+    # block indices.  The up-set of a family is the OR of its blocks'.
+    up = [sum(1 << j for j, d in enumerate(masks) if c & d == c)
+          for c in masks]
+    systems, ups = _enumerate_antichains(blocks, up, n, stream_cap)
+    index = {u: i for i, u in enumerate(ups)}
+    up_of = dict(zip(masks, up))
     rels = []
-    for _, ar, rel in b.relation_items():
-        rows = sorted(rel)
-        out = set()
-        # supports: the sets of relation tuples used inside one block, each
-        # kept as its blocks, one per coordinate
-        supports = [
-            tuple(frozenset(u[i] for u in w) for i in range(ar))
-            for size in range(1, min(k, len(rows)) + 1)
-            for w in itertools.combinations(rows, size)
-        ]
-        if sum(math.comb(len(supports), r) for r in range(1, n + 1)) \
-                > stream_cap:
+    for sym, _, rel in b.relation_items():
+        supports = sum(math.comb(len(rel), r)
+                       for r in range(1, min(k, len(rel)) + 1))
+        if sum(math.comb(supports, r) for r in range(1, n + 1)) > stream_cap:
             raise CapExceeded("set-system representative stream too large")
-        for vsize in range(1, n + 1):
-            for v in itertools.combinations(supports, vsize):
-                out.add(tuple(system_of(frozenset(column))
-                              for column in zip(*v)))
-        rels.append(frozenset(out))
+        what = f"set-system relation {sym}"     # never over the cap
+        rows = {tuple(1 << v for v in u) for u in rel}
+        gens = {tuple(map(up_of.__getitem__, t))
+                for t in _join_closure(rows, k, stream_cap, what)}
+        closure = _join_closure(gens, n, stream_cap, what)
+        rels.append(frozenset(tuple(map(index.__getitem__, t))
+                              for t in closure))
     struct = Structure(
         signature=b.signature,
         size=len(systems),
@@ -567,11 +584,9 @@ def absorptive_check(
         raise ValueError("block size and block count must be positive")
     struct, systems = _setsystem_structure(b, k, n, stream_cap)
     h = find_homomorphism(struct, b)
-    return AbsorptiveResult(
-        status="no" if h is None else "yes", k=k, n=n,
-        indicator_size=struct.size,
-        witness_map=None if h is None else tuple(zip(systems, h)),
-    )
+    return AbsorptiveResult(status="no" if h is None else "yes", k=k, n=n,
+                            indicator_size=struct.size, hom=h,
+                            systems=systems)
 
 
 # ---------------------------------------------------------------------------

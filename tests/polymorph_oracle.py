@@ -10,9 +10,10 @@ for the indicator construction.  Only arity is capped, and its time grows
 with |B|^(|B|^arity), so keep it to two- and three-element templates.
 
 `setsystem_structure_literal` builds the set-system structure of an
-absorptive check one combination of supports and one coordinate at a
-time, canonicalising every block list afresh; it is the oracle for
-`polymorph._setsystem_structure`.
+absorptive check from frozensets: it canonicalises every family of at most
+n blocks to find the elements, and every combination of supports, one
+coordinate at a time, to find the tuples.  It is the oracle for
+`polymorph._setsystem_structure`, which works on up-set masks.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from slamlog.polymorph import (
     CapExceeded,
     MinorCondition,
     OperationTable,
-    SetSystem,
     _check_witness,
-    _enumerate_antichains,
     _power_codes,
     _tuple_code,
     canonical_set_system,
@@ -148,18 +147,24 @@ def brute_force_search(
 
 def setsystem_structure_literal(
     b: Structure, k: int, n: int, stream_cap: int = DEFAULT_STREAM_CAP,
-) -> tuple[Structure, list[SetSystem]]:
+) -> tuple[Structure, list[tuple[tuple[int, ...], ...]]]:
     """The structure on canonical antichains of at most n blocks of at most
-    k elements, and its elements in order.  A relation holds, for each set
-    of at most n supports (sets of at most k relation tuples), the tuple of
-    the canonical set systems of the supports' blocks in each coordinate."""
+    k elements, and their sort keys in order.  Every family of at most n
+    blocks is tried, and more than stream_cap + 1 antichains raise.  A
+    relation holds, for each set of at most n supports (sets of at most k
+    relation tuples), the tuple of the canonical set systems of the
+    supports' blocks in each coordinate."""
     subsets = [
         frozenset(s)
         for size in range(1, min(k, b.size) + 1)
         for s in itertools.combinations(range(b.size), size)
     ]
-    systems = _enumerate_antichains(subsets, n, cap=stream_cap)
-    index = {ss: i for i, ss in enumerate(systems)}
+    systems = sorted({canonical_set_system(family).sort_key()
+                      for r in range(1, n + 1)
+                      for family in itertools.combinations(subsets, r)})
+    if len(systems) > stream_cap + 1:
+        raise CapExceeded(f"more than {stream_cap} set systems")
+    index = {key: i for i, key in enumerate(systems)}
     rels = []
     for _, ar, rel in b.relation_items():
         rows = sorted(rel)
@@ -178,8 +183,9 @@ def setsystem_structure_literal(
             for v in itertools.combinations(supports, vsize):
                 entry = []
                 for i in range(ar):
-                    blocks = [frozenset(u[i] for u in w) for w in v]
-                    entry.append(index[canonical_set_system(blocks)])
+                    ss = canonical_set_system(frozenset(u[i] for u in w)
+                                              for w in v)
+                    entry.append(index[ss.sort_key()])
                 out.add(tuple(entry))
         rels.append(frozenset(out))
     struct = Structure(

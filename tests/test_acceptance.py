@@ -187,7 +187,7 @@ def test_acceptance_04_symmetrization_of_lam_refutations():
             s = evaluate(slam, a, stop_at_goal=True)
             assert r.goal == s.goal, name
             if r.goal:
-                rep = repair_to_symmetric(r.trace, b)
+                rep = repair_to_symmetric(r.trace, slam)
                 assert rep.program == slam
                 assert rep.steps[-1].fact == ("goal", ())
                 repaired += 1
@@ -197,7 +197,7 @@ def test_acceptance_04_symmetrization_of_lam_refutations():
     r = evaluate(lam, weak_rules_instance(), stop_at_goal=True)
     assert [s.fact for s in r.trace.steps] == [
         ("P{0}", (0,)), ("P{2}", (1,)), ("goal", ())]
-    rep = repair_to_symmetric(r.trace, wt)
+    rep = repair_to_symmetric(r.trace, canonical_program(wt, "slam"))
     assert [s.fact for s in rep.steps] == [
         ("P{0_1}", (0,)), ("P{2}", (1,)), ("goal", ())]
     elapsed = time.perf_counter() - start

@@ -576,8 +576,9 @@ def test_weak_rules_repair_reproduces_the_weakened_chain():
     assert r.goal
     facts = [s.fact for s in r.trace.steps]
     assert facts == [("P{0}", (0,)), ("P{2}", (1,)), ("goal", ())]
-    rep = repair_to_symmetric(r.trace, wt)
-    assert rep.program == canonical_program(wt, "slam")
+    slam = canonical_program(wt, "slam")
+    rep = repair_to_symmetric(r.trace, slam)
+    assert rep.program is slam
     assert [s.fact for s in rep.steps] == [
         ("P{0_1}", (0,)), ("P{2}", (1,)), ("goal", ())]
     assert fragment_of(rep.program).slam
@@ -597,7 +598,8 @@ def test_repair_accepts_hand_built_derivation():
                        _rule_by_text(lam, "goal :- C4(x1), P{2}(x1)."),
                        (("x1", 1),)),
     )
-    rep = repair_to_symmetric(Derivation(program=lam, steps=steps), wt)
+    rep = repair_to_symmetric(Derivation(program=lam, steps=steps),
+                              canonical_program(wt, "slam"))
     assert [s.fact[0] for s in rep.steps] == ["P{0_1}", "P{2}", "goal"]
 
 
@@ -612,7 +614,7 @@ def test_repair_on_every_lam_refutation_of_paths():
             s = evaluate(slam, a, stop_at_goal=True)
             assert r.goal == s.goal
             if r.goal:
-                rep = repair_to_symmetric(r.trace, b)
+                rep = repair_to_symmetric(r.trace, slam)
                 assert rep.steps[-1].fact == ("goal", ())
                 repaired += 1
         assert repaired > 400
@@ -626,7 +628,7 @@ def test_repair_fails_where_slam_is_strictly_weaker():
     assert r.goal
     assert not evaluate(canonical_program(t3, "slam"), loop).goal
     with pytest.raises(RepairFailed):
-        repair_to_symmetric(r.trace, t3)
+        repair_to_symmetric(r.trace, canonical_program(t3, "slam"))
 
 
 def test_repair_rejects_invalid_derivations():
@@ -638,7 +640,20 @@ def test_repair_rejects_invalid_derivations():
                        (("x1", 0),)),
     ))
     with pytest.raises(RepairFailed):
-        repair_to_symmetric(bogus, wt)
+        repair_to_symmetric(bogus, canonical_program(wt, "slam"))
+
+
+def test_repair_needs_the_canonical_slam_program():
+    wt = weak_rules_template()
+    lam = canonical_program(wt, "lam")
+    r = evaluate(lam, weak_rules_instance(), stop_at_goal=True)
+    slam = canonical_program(wt, "slam")
+    # a lam program, and the slam rules without their origin
+    for other in (lam, dataclasses.replace(slam)):
+        with pytest.raises(ValueError, match="canonical_program"):
+            repair_to_symmetric(r.trace, other)
+    assert repair_to_symmetric(r.trace, copy.copy(slam)).steps == \
+        repair_to_symmetric(r.trace, slam).steps
 
 
 def test_derivation_to_json_shape():

@@ -24,11 +24,18 @@ from slamlog.fixtures import (
     weak_rules_instance,
     weak_rules_template,
 )
-from slamlog.homsolver import HomSearcher, WitnessError, is_homomorphism
+from slamlog.classify import Caps, classify
+from slamlog.homsolver import (
+    HomSearcher,
+    WitnessError,
+    find_homomorphism,
+    is_homomorphism,
+)
 from slamlog.polymorph import (
     DEFAULT_STREAM_CAP,
     CapExceeded,
     OperationTable,
+    SetSystem,
     absorptive_check,
     block_symmetric_absorptive,
     canonical_set_system,
@@ -339,6 +346,72 @@ def test_setsystem_structure_equals_the_literal_construction(k, n):
             setsystem_structure_literal(b, k, n), b.name
 
 
+def _unless_capped(build, *args):
+    try:
+        return build(*args)
+    except CapExceeded:
+        return None
+
+
+def _covering_randoms(count, seed):
+    """Seeded random templates with unary, binary, ternary and empty
+    relations among them."""
+    randoms = list(_random_structures(count, seed))
+    assert any(not rel for b in randoms for rel in b.relations)
+    assert {ar for b in randoms for _, ar in b.signature.symbols} == {1, 2, 3}
+    return randoms
+
+
+@pytest.mark.parametrize("k,n", [(1, 2), (2, 1), (1, 3), (2, 2)])
+def test_setsystem_structure_raises_exactly_where_the_literal_one_does(k, n):
+    # every cap from 0 until the literal construction has fitted three times
+    for b in _covering_randoms(20, seed=50 + 10 * k + n):
+        fitted = 0
+        for cap in itertools.count():
+            want = _unless_capped(setsystem_structure_literal, b, k, n, cap)
+            assert _unless_capped(_setsystem_structure, b, k, n, cap) == \
+                want, (b.name, cap)
+            fitted += want is not None
+            if fitted == 3:
+                break
+
+
+def test_subset_power_raises_exactly_where_the_literal_power_is_over_cap():
+    for b in _covering_randoms(40, seed=9):
+        power = subset_power_literal(b)
+        largest = max(map(len, power.relations))
+        for cap in range(largest + 3):
+            assert _unless_capped(subset_power_structure, b, cap) == \
+                (None if largest > cap else power), (b.name, cap)
+
+
+def test_set_systems_are_built_only_for_a_read_witness(monkeypatch):
+    built = []
+    check = SetSystem.__post_init__
+    monkeypatch.setattr(SetSystem, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    cases = ((path(3), 2, 2), (horn_sat(), 2, 2),
+             (caterpillar_example(), 2, 3), (weak_rules_template(), 1, 3))
+    results = [absorptive_check(*case) for case in cases]
+    # a fallback sweep reports pairs, never their maps
+    report = classify(weak_rules_template(),
+                      Caps(stream_cap=1 << 12, max_k=2, max_n=2))
+    assert report.witnesses["caterpillar_lam"]["kind"] == "cap"
+    assert built == []
+    assert [r.status for r in results] == ["yes", "no", "yes", "yes"]
+    for r, (b, k, n) in zip(results, cases):
+        if r.status == "no":
+            assert r.witness_map is None
+            continue
+        struct, systems = setsystem_structure_literal(b, k, n)
+        eager = tuple(zip(map(canonical_set_system, systems),
+                          find_homomorphism(struct, b)))
+        built.clear()
+        assert r.witness_map == eager
+        assert len(built) == r.indicator_size
+        assert r.witness_map is r.witness_map
+
+
 def test_setsystem_strategy_rejects_a_wrong_map(monkeypatch):
     # The constant map sends every set system to 0, and P2 has no loop.
     monkeypatch.setattr(HomSearcher, "enumerate",
@@ -446,6 +519,10 @@ def _literal_antichains(subsets, n, cap):
 def test_antichain_enumeration_matches_the_full_enumeration(size, k, n):
     subsets = [frozenset(s) for r in range(1, k + 1)
                for s in itertools.combinations(range(size), r)]
+    blocks = sorted(tuple(sorted(s)) for s in subsets)
+    masks = [sum(1 << v for v in s) for s in blocks]
+    up = [sum(1 << j for j, d in enumerate(masks) if c & d == c)
+          for c in masks]
     total = len(_literal_antichains(subsets, n, cap=1 << 20))
     for cap in range(total + 3):
         try:
@@ -453,7 +530,10 @@ def test_antichain_enumeration_matches_the_full_enumeration(size, k, n):
         except CapExceeded:
             want = None
         try:
-            got = [ss.blocks for ss in _enumerate_antichains(subsets, n, cap)]
+            keys, ups = _enumerate_antichains(blocks, up, n, cap)
         except CapExceeded:
             got = None
+        else:
+            got = [frozenset(map(frozenset, key)) for key in keys]
+            assert len(set(ups)) == len(ups), cap
         assert got == want, cap
