@@ -357,7 +357,9 @@ def _rule_tables(p: Program):
     rule, its IDB atoms are unary, and its head is unary or goal.  The one
     rule without an EDB atom is goal :- P(x).  IDB predicates are numbered
     by first occurrence, and a run is a stretch of users[q] with equal
-    (relation, keys, head position, checks); a goal rule has head subset 0.
+    (relation, keys, head position, checks) and ascending head ids, so that
+    its heads fire in rule order; a goal rule has head subset 0.  A run's
+    ref is its {head: rule index}; no subset dominates another.
     """
     sig = p.signature
     ids: dict[str, int] = {}
@@ -382,29 +384,46 @@ def _rule_tables(p: Program):
                 users.append([])
         s, head = (0, None) if goal else \
             (ids[rule.head.pred], args.index(rule.head.args[0]))
-        if not idb:
-            if initial and initial[-1][:2] == (rel, head):
-                initial[-1][2].append((s, rule_idx))
-            else:
-                initial.append((rel, head, [(s, rule_idx)]))
-            continue
-        linear = linear and len(idb) == 1
+        linear = linear and len(idb) <= 1
         positions = [args.index(atom.args[0]) for atom in idb]
         body = [ids[atom.pred] for atom in idb]
         checks = tuple(zip(positions, body)) if len(idb) > 1 else ()
-        keys: dict = {}          # IDB id -> its columns in the body
+        keys: dict = {} if idb else {None: ()}  # IDB id -> its body columns
         for x, q in zip(positions, body):
             keys[q] = keys.get(q, ()) + ((rel, x),)
         for q, columns in keys.items():
-            entries = users[q]
-            if entries and entries[-1][:4] == (rel, columns, head, checks):
-                run = entries[-1]
-                run[4].append((s, rule_idx))
-                entries[-1] = (*run[:5], run[5] | 1 << s)
-            else:
-                entries.append((rel, columns, head, checks, [(s, rule_idx)],
-                                1 << s))
-    return initial, users, linear, list(ids)
+            entries = initial if q is None else users[q]
+            run = entries[-1][2][-1] if entries and \
+                entries[-1][:2] == (rel, columns) else None
+            if run is None or run[:2] != [head, checks] or run[2] >> s:
+                run = [head, checks, 0, {}]
+                _add_run(entries, rel, columns, run)
+            run[2] |= 1 << s     # its heads so far all come before s
+            run[3][s] = rule_idx
+    return initial, users, linear, list(ids), [0] * len(ids)
+
+
+def _add_run(entries, rel, keys, run) -> None:
+    """Append run to the last group of entries if it has rel and keys."""
+    if entries and entries[-1][1] == keys and entries[-1][0] == rel:
+        entries[-1][2].append(run)
+    else:
+        entries.append((rel, keys, [run]))
+
+
+def _rule_index(ref, s: int) -> int:
+    """The index of the rule with head s in the run at ref, its {head: rule
+    index} or (block, i) for pair i of (pairs, by_head, start) of a block."""
+    if isinstance(ref, dict):
+        return ref[s]
+    (pairs, by_head, start), i = ref
+    below = (1 << s) - 1
+    heads = [mask for _, mask in pairs]
+    if by_head:     # all rules with smaller heads, then those of s before i
+        return start + sum([(h & below).bit_count() for h in heads]) + \
+            sum([h >> s & 1 for h in heads[:i]])
+    return start + sum([h.bit_count() for h in heads[:i]]) + \
+        (heads[i] & below).bit_count()
 
 
 def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult:
@@ -414,14 +433,15 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
     tables.  A program that canonical_program built (its `origin` is set)
     compiles them from its template's rule blocks, any other from its
     rules, to the same tables.  For each IDB predicate they list the runs of
-    rules whose bodies use it, a run being a stretch of rules that differ
-    only in their head.  Rules without an IDB body atom fire first, in rule
-    order over sorted rows.  A worklist then pops (predicate, element)
-    states; each run that uses the popped predicate looks up the rows that
-    agree with it once, keeps those whose IDB body facts have all been
-    popped, and fires its rules one after another over them.  A program of
-    any other shape is grounded up front and run with a countdown per
-    ground instance.
+    rules whose bodies use it, a run being a mask of heads whose rules
+    differ only in their head.  Rules without an IDB body atom fire first,
+    in rule order over sorted rows.  A worklist then pops (predicate,
+    element) states; each group of runs that uses the popped predicate
+    looks up the rows that agree with it once, and each of its runs keeps
+    those whose IDB body facts have all been popped and fires its heads in
+    ascending order, which is rule order, over them.  A program of any
+    other shape is grounded up front and run with a countdown per ground
+    instance.
 
     Either way facts are derived in the order of grounding every rule
     against every row up front, so facts, goal and trace are those of that
@@ -437,9 +457,10 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
     tables = _compiled(p)
     if tables is None:
         return _evaluate_grounded(p, a, stop_at_goal)
-    initial, users, linear, names = tables
+    initial, users, linear, names, dominated = tables
     rows_of = {}
-    columns: dict = {}       # (relation, position) -> element -> sorted rows
+    # (relation, position) -> element -> rows; goal :- P(x1) reads (None, 0)
+    columns: dict = {(None, 0): {v: [(v,)] for v in range(a.size)}}
     for sym, r in a.signature.symbols:
         rows_of[sym] = sorted(a.rel(sym))
         for x in range(r):
@@ -451,71 +472,71 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
     # element has a mask of the predicates derived for it and of those popped
     derived = [0] * a.size
     popped = [0] * a.size
-    provenance: dict = {}    # state or GOAL_FACT -> (rule index, row, body)
+    provenance: dict = {}    # state or GOAL_FACT -> (run ref, row, body)
     queue = deque()
 
-    for rel, head, rules in initial:
+    for rel, _, runs in initial:
         rows = rows_of[rel]
-        if head is None:
-            if rows and GOAL_FACT not in provenance:
-                provenance[GOAL_FACT] = (rules[0][1], rows[0], None)
-            continue
-        for s, rule_idx in rules:
-            bit = 1 << s
-            for t in rows:
-                w = t[head]
-                if not derived[w] & bit:
-                    derived[w] |= bit
-                    provenance[s, w] = (rule_idx, t, None)
-                    queue.append((s, w))
+        for head, _, heads, ref in runs:
+            if head is None:
+                if rows and GOAL_FACT not in provenance:
+                    provenance[GOAL_FACT] = (ref, rows[0], None)
+                continue
+            for s in _bits(heads):
+                bit = 1 << s
+                for t in rows:
+                    w = t[head]
+                    if not derived[w] & bit:
+                        derived[w] |= bit
+                        provenance[s, w] = (ref, t, None)
+                        queue.append((s, w))
 
     stop = stop_at_goal and GOAL_FACT in provenance
     while queue and not stop:
         state = queue.popleft()
         q, v = state
-        popped[v] |= 1 << q
-        for rel, keys, head, checks, rules, heads in users[q]:
-            if rel is None:         # goal :- P(x1)
-                rows = ((v,),)
-            elif len(keys) == 1:
-                rows = columns[keys[0]].get(v, ())
-                if not rows:
-                    continue
-            else:
-                rows = sorted({t for key in keys
-                               for t in columns[key].get(v, ())})
-            if head is None:        # goal rules fire alike; the first wins
-                if GOAL_FACT in provenance:
-                    continue
-                for t in rows:
-                    if all([popped[t[x]] >> c & 1 for x, c in checks]):
-                        provenance[GOAL_FACT] = (rules[0][1], t, state)
-                        stop = stop_at_goal
+        seen = popped[v]
+        popped[v] = seen | 1 << q
+        if seen & dominated[q]:     # a subset popped here did all it would
+            continue
+        for rel, keys, runs in users[q]:
+            rows = columns[keys[0]].get(v) if len(keys) == 1 else \
+                sorted({t for key in keys for t in columns[key].get(v, ())})
+            if not rows:
+                continue
+            for head, checks, heads, ref in runs:
+                if head is None:    # goal rules fire alike; the first wins
+                    if GOAL_FACT in provenance:
+                        continue
+                    for t in rows:
+                        if all([popped[t[x]] >> c & 1 for x, c in checks]):
+                            provenance[GOAL_FACT] = (ref, t, state)
+                            stop = stop_at_goal
+                            break
+                    if stop:
                         break
-                if stop:
-                    break
-                continue
-            # the first ready row of each head element, in row order
-            targets: dict = {}
-            for t in rows:
-                if not checks or all([popped[t[x]] >> c & 1
-                                      for x, c in checks]):
-                    targets.setdefault(t[head], t)
-            todo = 0                # heads some target still lacks
-            for w in targets:
-                todo |= heads & ~derived[w]
-            if not todo:
-                continue
-            # rule-major, as if each rule of the run were visited alone
-            for s, rule_idx in rules:
-                if not todo >> s & 1:
                     continue
-                bit = 1 << s
-                for w, t in targets.items():
-                    if not derived[w] & bit:
-                        derived[w] |= bit
-                        provenance[s, w] = (rule_idx, t, state)
-                        queue.append((s, w))
+                # the first ready row of each head element, in row order
+                targets: dict = {}
+                for t in rows:
+                    if not checks or all([popped[t[x]] >> c & 1
+                                          for x, c in checks]):
+                        targets.setdefault(t[head], t)
+                todo = 0            # heads some target still lacks
+                for w in targets:
+                    todo |= heads & ~derived[w]
+                # rule-major by ascending head, as if each rule came alone
+                while todo:
+                    bit = todo & -todo
+                    todo ^= bit
+                    s = bit.bit_length() - 1
+                    for w, t in targets.items():
+                        if not derived[w] & bit:
+                            derived[w] |= bit
+                            provenance[s, w] = (ref, t, state)
+                            queue.append((s, w))
+            if stop:
+                break
 
     def fact(state):
         return state if state == GOAL_FACT else (names[state[0]], state[1:])
@@ -527,7 +548,8 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
         steps = []
         state = GOAL_FACT
         while state is not None:
-            rule_idx, t, body = provenance[state]
+            ref, t, body = provenance[state]
+            rule_idx = _rule_index(ref, 0 if state == GOAL_FACT else state[0])
             # a rule's variables in order of first occurrence, each at its
             # position in the EDB atom (in the IDB atom of goal :- P(x))
             rule = p.rules[rule_idx]
@@ -794,45 +816,48 @@ def _block_rules(pairs, by_head: bool, start: int) -> list[list]:
 
 def _canonical_tables(b: Structure, fragment: str):
     """The worklist tables of canonical_program(b, fragment), read off its
-    blocks: (initial, users, linear, names).
+    blocks: (initial, users, linear, names, dominated).
 
-    `initial` lists the rules without an IDB body atom, in order, as
-    (relation, head position, rules).  `users[q]` lists the runs of rules
-    whose bodies use P_q, in rule order, as (relation, keys, head position,
-    checks, rules, heads).  A run is the rules of one pair of a block, which
-    differ only in their heads: its `rules` are [(head subset, rule index),
-    ...] by ascending head and `heads` is the mask of those subsets.  Its
-    keys are (relation, position) for each position of P_q in the body; its
+    `initial` and each `users[q]` list runs in rule order, grouped as
+    (relation, keys, runs) where consecutive runs share both: the runs of
+    rules without an IDB body atom, and of those whose bodies use P_q.  A
+    run (head position, checks, heads, ref) is the rules of one pair of a
+    block, which differ only in their heads: `heads` is the mask of their
+    head subsets, and _rule_index(ref, s) the index of the one with head s.
+    Keys are (relation, position) for each position of P_q in the body;
     checks are the (position, subset) pairs of a body with more than one
     IDB atom, all of which must have been popped before a rule fires.
     `linear` says whether every body has at most one IDB atom, and
-    names[mask] is the IDB predicate of a subset mask.
+    names[mask] is the IDB predicate of a subset mask.  dominated[mask] is
+    the mask of mask's strict subsets in am and lam, whose heads are
+    antitone in each body subset, so that P_s(v) popped after a strict
+    subset at v derives nothing; it is 0 in slam, where that fails.
     """
+    full = 1 << b.size
     initial = []
-    users: list[list] = [[] for _ in range(1 << b.size)]
+    users: list[list] = [[] for _ in range(full)]
     linear = True
     index = 0
     for rel, _, head, positions, pairs, by_head in \
             _canonical_blocks(b, fragment):
-        runs = _block_rules(pairs, by_head, index)
-        index += sum(map(len, runs))
+        block = (pairs, by_head, index)
         columns = tuple([(rel, x) for x in positions])
-        for (body, heads), rules in zip(pairs, runs):
-            if len(body) == 1:
-                users[body[0]].append((rel, columns, head, (), rules, heads))
+        linear = linear and len(positions) <= 1
+        for i, (body, heads) in enumerate(pairs):
+            index += heads.bit_count()
+            if len(body) <= 1:
+                _add_run(users[body[0]] if body else initial, rel, columns,
+                         (head, (), heads, (block, i)))
                 continue
-            if not body:
-                initial.append((rel, head, rules))
-                continue
-            linear = False
-            checks = tuple(zip(positions, body))
+            run = (head, tuple(zip(positions, body)), heads, (block, i))
             keys: dict = {}      # subset -> its columns in the body
             for column, q in zip(columns, body):
                 keys[q] = keys.get(q, ()) + (column,)
             for q, columns_of_q in keys.items():
-                users[q].append((rel, columns_of_q, head, checks, rules,
-                                 heads))
-    return initial, users, linear, _subset_names(b.size)
+                _add_run(users[q], rel, columns_of_q, run)
+    dominated = [0] * full if fragment == "slam" else \
+        [sum([1 << t for t in range(s) if t & s == t]) for s in range(full)]
+    return initial, users, linear, _subset_names(b.size), dominated
 
 
 def canonical_program(b: Structure, fragment: str) -> Program:

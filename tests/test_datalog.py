@@ -389,30 +389,67 @@ def test_canonical_tables_equal_the_generic_path():
     assert goals > 200 and traces > 100
 
 
+def _merged_runs(runs, rename):
+    """Each stretch of runs with equal (keys, head position, checks) as one
+    run: (keys, head position, checks, heads, {head: rule index}), with the
+    heads renamed to subset masks.  A run starts a stretch only where the
+    ids of its heads do not ascend from the last run's, and every stretch
+    fires its rules in rule order."""
+    out = []
+    last = None
+    for keys, head, checks, heads, ref in runs:
+        ids = list(datalog._bits(heads))
+        indices = [datalog._rule_index(ref, s) for s in ids]
+        assert indices == sorted(indices)
+        rules = dict(zip([rename(head, s) for s in ids], indices))
+        if out and out[-1][:3] == [keys, head, checks]:
+            assert ids[0] <= last, "a run split while its ids ascend"
+            assert min(rules.values()) > max(out[-1][4].values())
+            out[-1][3] |= sum(1 << s for s in rules)
+            out[-1][4].update(rules)
+        else:
+            out.append([keys, head, checks, sum(1 << s for s in rules),
+                        rules])
+        last = ids[-1]
+    return [tuple(run) for run in out]
+
+
 def test_rule_tables_equal_block_tables():
     """The tables compiled from a canonical program's rules are those of
-    its template's blocks, up to renaming the IDB ids: the same runs with
-    the same rule indices."""
+    its template's blocks, up to renaming the IDB ids and splitting a run
+    where its ids descend: the same runs with the same heads, and the same
+    rule index for each head."""
     for b, fragment, _, parsed in _parsed_canonical_programs():
-        initial, users, linear, names = datalog._rule_tables(parsed)
-        want_initial, want_users, want_linear, _ = \
+        initial, users, linear, names, dominated = \
+            datalog._rule_tables(parsed)
+        want_initial, want_users, want_linear, _, want_dominated = \
             datalog._canonical_tables(b, fragment)
         mask = [sum(1 << e for e in name_subset(name)) for name in names]
 
         def renamed(head, s):       # a goal rule's head subset is 0
             return s if head is None else mask[s]
 
-        assert linear == want_linear
-        assert [(rel, head, [(renamed(head, s), i) for s, i in rules])
-                for rel, head, rules in initial] == want_initial
+        def flat(groups):           # each run with its relation and keys
+            return [((rel, keys), *run) for rel, keys, runs in groups
+                    for run in runs]
+
+        def renamed_checks(runs):
+            return [(keys, head, tuple([(x, mask[c]) for x, c in checks]),
+                     heads, ref) for keys, head, checks, heads, ref in runs]
+
+        assert linear == want_linear and not any(dominated)
+        assert any(want_dominated) == (fragment != "slam")
+        assert _merged_runs(flat(initial), renamed) == \
+            _merged_runs(flat(want_initial), lambda head, s: s)
         got_users = [[] for _ in want_users]
-        for q, entries in enumerate(users):
-            got_users[mask[q]] = [
-                (rel, keys, head, tuple([(x, mask[c]) for x, c in checks]),
-                 [(renamed(head, s), i) for s, i in rules],
-                 sum([1 << renamed(head, s) for s in datalog._bits(heads)]))
-                for rel, keys, head, checks, rules, heads in entries]
-        assert got_users == want_users, (b.name, fragment)
+        for q, groups in enumerate(users):
+            got_users[mask[q]] = _merged_runs(renamed_checks(flat(groups)),
+                                              renamed)
+        assert got_users == [_merged_runs(flat(groups), lambda head, s: s)
+                             for groups in want_users], (b.name, fragment)
+        # no two groups in a row share their relation and keys
+        for groups in (initial, *users, want_initial, *want_users):
+            assert all(x[:2] != y[:2] for x, y in zip(groups, groups[1:]))
 
 
 def test_canonical_programs_never_compile_rules(monkeypatch):
@@ -500,13 +537,14 @@ goal :- G(x), T(x).
 
 def _runs(p):
     """The runs in the users tables of p: (IDB predicate, relation, keys,
-    head position, checks, head predicates)."""
-    _, users, _, names = datalog._rule_tables(p)
+    head position, checks, head predicates in firing order)."""
+    _, users, _, names, _ = datalog._rule_tables(p)
     return [(names[q], rel, keys, head,
              tuple([(x, names[c]) for x, c in checks]),
-             [GOAL if head is None else names[s] for s, _ in rules])
-            for q, entries in enumerate(users) for rel, keys, head, checks,
-            rules, _ in entries]
+             [GOAL if head is None else names[s]
+              for s in datalog._bits(heads)])
+            for q, groups in enumerate(users) for rel, keys, runs in groups
+            for head, checks, heads, _ in runs]
 
 
 def test_on_demand_grounding_equals_full_grounding_on_hand_programs():
@@ -544,6 +582,28 @@ def test_on_demand_grounding_equals_full_grounding_on_hand_programs():
                 a = make_structure("A", prog.signature.symbols, a.size, empty)
             goals += _agrees_with_grounding(prog, a)
     assert goals > 40
+
+
+# P is numbered 0, C 1, Q 2, D 3 and X 4 by first occurrence, so the arc
+# rules D, C on P have descending ids.  Fired by ascending id as one run, C
+# would be derived before D at 1, X(2) would come from C(1) instead of D(1),
+# and the trace would differ from full grounding's.
+DESCENDING_RUN_PROGRAM = """
+P(x) :- E(x,y).
+C(y) :- E(x,y), Q(x).
+D(y) :- E(x,y), P(x).
+C(y) :- E(x,y), P(x).
+X(y) :- E(x,y), C(x).
+X(y) :- E(x,y), D(x).
+goal :- E(x,y), X(y).
+Q(y) :- E(x,y), X(x).
+"""
+
+
+def test_runs_from_rules_fire_in_rule_order():
+    p = parse_program(DESCENDING_RUN_PROGRAM)
+    assert _agrees_with_grounding(p, digraph(4, [(0, 1), (1, 2), (2, 3)]))
+    assert [r[5] for r in _runs(p) if r[0] == "P"] == [["D"], ["C"]]
 
 
 def test_signature_mismatch_on_evaluate():
