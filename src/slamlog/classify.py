@@ -333,21 +333,33 @@ def _generator_tables(spaces, size: int):
     return tables
 
 
+_LEFT, _RIGHT = 2, 4  # a sweep's two properties, as bits of an outcome
+
+
 def _sweep_instances(signature: Signature, size_cap: int):
     """One representative per isomorphism class of the sweep's instances:
     every instance up to size 3, and from size 4 on only instances without
     repeated entries in a tuple.
 
-    Yields (representative, orbit size, members), where `members()` lists
-    the labeled orbit as ((size, mask), structure), masks numbered as in
-    `enumerate_instances`.  Each size walks its masks in ascending order
-    over a "seen" array: an unseen mask is the least of its orbit, so it
-    represents its class, and the orbit is its closure under the two
-    generators of the domain's permutations, each member marked seen as it
-    is reached.  The work is thus linear in the labeled instances, never in
-    the permutations.  The array has a byte per labeled instance, so a size
-    with more than DEFAULT_STREAM_CAP of them raises CapExceeded before
-    anything is built."""
+    Yields (build, orbit size, members, known, record).  `build()` makes the
+    representative and `members()` lists the labeled orbit as
+    ((size, mask), structure), masks numbered as in `enumerate_instances`.
+    Each size walks its masks in ascending order over a "seen" array: an
+    unseen mask is the least of its orbit, so it represents its class, and
+    the orbit is its closure under the two generators of the domain's
+    permutations, each member marked seen as it is reached.  The work is
+    thus linear in the labeled instances, never in the permutations.
+
+    The consumer gives `record` the class's outcome, which properties hold
+    as _LEFT and _RIGHT bits, before it asks for the next class, and it is
+    stored beside the seen bit of every member.  A mask one set bit below a
+    representative is less than it, so its class is decided, and `known` is
+    the OR of those outcomes.  Both properties are preserved when a tuple is
+    added, so each one in `known` holds here too.
+
+    The array has a byte per labeled instance, so a size with more than
+    DEFAULT_STREAM_CAP of them raises CapExceeded before anything is
+    built."""
     for size in range(size_cap + 1):
         bits = sum(math.perm(size, ar) if size > 3 else size ** ar
                    for _, ar in signature.symbols)
@@ -372,22 +384,34 @@ def _sweep_instances(signature: Signature, size_cap: int):
                     if not seen[image]:
                         seen[image] = 1
                         orbit.append(image)
-            yield build(mask), len(orbit), \
+            known, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                known |= seen[mask ^ low]
+                rest ^= low
+
+            def record(outcome, orbit=orbit):
+                for m in orbit:
+                    seen[m] = 1 | outcome
+            yield (lambda mask=mask, build=build: build(mask)), len(orbit), \
                 lambda orbit=orbit, size=size, build=build: [
-                    ((size, m), build(m)) for m in sorted(orbit)]
+                    ((size, m), build(m)) for m in sorted(orbit)], \
+                known & (_LEFT | _RIGHT), record
             mask = seen.find(0, mask + 1)
 
 
 def _singletons(instances):
-    """An explicit instance stream, each instance its own class."""
+    """An explicit instance stream, each instance its own class, with
+    nothing known and nothing recorded."""
     for i, a in enumerate(instances):
-        yield a, 1, lambda i=i, a=a: [(i, a)]
+        yield (lambda a=a: a), 1, lambda i=i, a=a: [(i, a)], 0, \
+            lambda outcome: None
 
 
 @dataclass(frozen=True)
 class SweepReport:
     """A sweep's outcome.  `checked` counts labeled instances and `classes`
-    the `check` calls that decided them (one per isomorphism class for the
+    the classes that decided them (one per isomorphism class for the
     built-in sweep, one per instance for an explicit stream);
     `counterexamples` holds every labeled failing instance in stream
     order."""
@@ -410,17 +434,28 @@ class SweepReport:
         }, sort_keys=True, indent=2) + "\n"
 
 
-def _run_sweep(classes, check) -> SweepReport:
-    """Run `check` once per class, serially and in stream order.  `classes`
-    yields (representative, orbit size, members) as `_sweep_instances`
-    does.  A failing class contributes all its members, and the
-    counterexamples are sorted back into stream order by their keys."""
+def _run_sweep(classes, left, right) -> SweepReport:
+    """Decide the two properties of each class, serially and in stream
+    order; a class where exactly one holds fails.  `classes` yields
+    (build, orbit size, members, known, record) as `_sweep_instances` does.
+    A property already in `known` is not tested, and the representative is
+    built only if a test runs.  The outcome goes to `record`.  A failing
+    class contributes all its members, and the counterexamples are sorted
+    back into stream order by their keys."""
     checked = count = 0
     bad = []
-    for representative, orbit_size, members in classes:
+    for build, orbit_size, members, known, record in classes:
         count += 1
         checked += orbit_size
-        if not check(representative):
+        outcome, a = known, None
+        for bit, test in ((_LEFT, left), (_RIGHT, right)):
+            if not outcome & bit:
+                if a is None:
+                    a = build()
+                if test(a):
+                    outcome |= bit
+        record(outcome)
+        if outcome in (_LEFT, _RIGHT):
             bad.extend(members())
     bad.sort(key=lambda member: member[0])
     return SweepReport(checked=checked, classes=count,
@@ -442,16 +477,16 @@ def verify_program_solves(p: Program, b: Structure,
     with no homomorphism to the template, checking one instance per
     isomorphism class unless `instances` is given.  `jobs` is accepted and
     ignored: sweeps run serially.  One searcher for the template serves
-    every class."""
+    every class.  Over the built-in stream, a class is not evaluated if an
+    instance with one tuple less derives the goal (Datalog is monotone),
+    and not searched if one has no homomorphism (a homomorphism of this
+    instance would be one of that instance).  An explicit stream runs
+    both."""
     classes = _sweep_classes(b.signature, size_cap, instances)
     into_b = HomSearcher(b)
-
-    def check(a: Structure) -> bool:
-        goal = evaluate(p, a, stop_at_goal=True).goal
-        sat = into_b.find(a) is not None
-        return goal == (not sat)
-
-    return _run_sweep(classes, check)
+    return _run_sweep(classes,
+                      lambda a: evaluate(p, a, stop_at_goal=True).goal,
+                      lambda a: into_b.find(a) is None)
 
 
 def verify_duality_pair(obstructions, b: Structure, size_cap: int,
@@ -461,18 +496,17 @@ def verify_duality_pair(obstructions, b: Structure, size_cap: int,
     instance per isomorphism class unless `instances` is given.  `jobs` is
     accepted and ignored: sweeps run serially.  One searcher for the
     template serves every class; each obstruction search has its own target,
-    the instance."""
+    the instance.  Over the built-in stream, neither runs where an
+    instance with one tuple less settles it: a map from an obstruction into
+    that instance maps into this one too, and a homomorphism of this
+    instance to the template would be one of that instance.  An explicit
+    stream runs both."""
     obstructions = tuple(obstructions)
     for f in obstructions:
         if f.signature != b.signature:
             raise ValueError("obstruction signature mismatch")
     classes = _sweep_classes(b.signature, size_cap, instances)
     into_b = HomSearcher(b)
-
-    def check(a: Structure) -> bool:
-        blocked = any(find_homomorphism(f, a) is not None
-                      for f in obstructions)
-        sat = into_b.find(a) is not None
-        return blocked == (not sat)
-
-    return _run_sweep(classes, check)
+    return _run_sweep(classes, lambda a: any(
+        find_homomorphism(f, a) is not None for f in obstructions),
+        lambda a: into_b.find(a) is None)

@@ -268,16 +268,20 @@ class HomSearcher:
         queued = bytearray(len(atoms))
         trail: list[tuple[int, int]] = []
         # One frame per branching element: [element, values not yet tried,
-        # trail length when the frame was pushed].
-        stack = [[var, cand[var], 0]]
+        # trail length and homomorphisms yielded when it was pushed].
+        stack = [[var, cand[var], 0, 0]]
         count = 0
         while stack:
             frame = stack[-1]
-            var, rest, mark = frame
+            var, rest, mark, before = frame
             while len(trail) > mark:
                 e, m = trail.pop()
                 cand[e] = m
-            if not rest:
+            # The value of an element in no atom leaves the rest of the
+            # search as it is, so once its first value has been tried
+            # (rest != cand[var]) and yielded nothing, no other value will.
+            if not rest or (not watch[var] and count == before
+                            and rest != cand[var]):
                 stack.pop()
                 continue
             low = rest & -rest
@@ -294,7 +298,7 @@ class HomSearcher:
                 if limit is not None and count >= limit:
                     return
                 continue
-            stack.append([var, cand[var], len(trail)])
+            stack.append([var, cand[var], len(trail), count])
 
 
 def arc_consistency(a: Structure, b: Structure) -> CandidateSets | None:

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from test_acceptance import VERDICT_TABLE
 
-from slamlog import homsolver, polymorph
+from slamlog import datalog, homsolver, polymorph
 from slamlog.classify import (
     Caps,
     NotSlam,
@@ -337,10 +337,18 @@ def test_isomorph_free_duality_sweep_matches_labeled(obstruction, template,
                                           4: (4627, 335)}[size_cap]
 
 
-@pytest.mark.parametrize("template, failures", [
-    (path(2), 0), (transitive_tournament(3), 501)], ids=["P2", "T3"])
-def test_isomorph_free_program_sweep_matches_labeled(template, failures):
-    program = canonical_program(template, "slam")
+@pytest.mark.parametrize("source, kind, template, failures", [
+    (path(2), "slam", path(2), 0),
+    (transitive_tournament(3), "slam", transitive_tournament(3), 501),
+    # derives goal on no instance this small, so only "no homomorphism to
+    # the template" is inferred from smaller instances
+    (directed_cycle(3), "lam", directed_cycle(3), 505),
+    # a wrong pair, where both properties are inferred
+    (transitive_tournament(3), "lam", path(2), 12),
+], ids=["P2", "T3", "lam-C3", "lam-T3-P2"])
+def test_isomorph_free_program_sweep_matches_labeled(source, kind, template,
+                                                     failures):
+    program = canonical_program(source, kind)
 
     def sweep(labeled):
         return verify_program_solves(
@@ -348,6 +356,34 @@ def test_isomorph_free_program_sweep_matches_labeled(template, failures):
             instances=_labeled(DIGRAPH, 3) if labeled else None)
     rep = _assert_matches_labeled(sweep)
     assert len(rep.counterexamples) == failures
+
+
+def test_a_sweep_infers_what_an_instance_with_one_tuple_less_settles(
+        monkeypatch):
+    calls = Counter()
+    find, evaluate = homsolver.HomSearcher.find, datalog.evaluate
+
+    def counting_find(self, a):
+        calls["find"] += 1
+        return find(self, a)
+
+    def counting_evaluate(*args, **kwargs):
+        calls["evaluate"] += 1
+        return evaluate(*args, **kwargs)
+    monkeypatch.setattr(homsolver.HomSearcher, "find", counting_find)
+    monkeypatch.setattr("slamlog.classify.evaluate", counting_evaluate)
+    slam = canonical_program(path(2), "slam")
+    # testing every class would take 2 finds for each of 335 classes, and
+    # one evaluation for each of 117
+    assert verify_duality_pair([path(3)], path(2), 4).holds
+    assert calls["find"] <= 60
+    calls.clear()
+    assert verify_program_solves(slam, path(2), 3).holds
+    assert calls["evaluate"] <= 20
+    # an explicit stream is the uninferred reference
+    calls.clear()
+    verify_program_solves(slam, path(2), instances=_labeled(DIGRAPH, 3))
+    assert calls == {"find": 531, "evaluate": 531}
 
 
 def test_isomorph_free_sweep_matches_labeled_on_two_symbols():
@@ -375,9 +411,10 @@ def test_isomorph_free_sweep_matches_labeled_on_two_symbols():
 ], ids=["digraphs", "U-E", "unary"])
 def test_class_counts_and_orbit_sums(signature, size_cap, classes):
     count, labeled = Counter(), Counter()
-    for rep, orbit_size, _ in _sweep_instances(signature, size_cap):
-        count[rep.size] += 1
-        labeled[rep.size] += orbit_size
+    for build, orbit_size, *_ in _sweep_instances(signature, size_cap):
+        size = build().size
+        count[size] += 1
+        labeled[size] += orbit_size
     assert [count[s] for s in range(size_cap + 1)] == classes
     bits = [sum(s ** ar if s <= 3 else math.perm(s, ar)
                 for _, ar in signature.symbols) for s in range(size_cap + 1)]
@@ -386,7 +423,7 @@ def test_class_counts_and_orbit_sums(signature, size_cap, classes):
 
 def test_orbits_partition_the_labeled_stream():
     labeled = list(_labeled(DIGRAPH, 4))
-    members = [a for _, _, orbit in _sweep_instances(DIGRAPH, 4)
+    members = [a for _, _, orbit, *_ in _sweep_instances(DIGRAPH, 4)
                for _, a in orbit()]
     assert len(members) == len(labeled) == 4627
     assert Counter(members) == Counter(labeled)

@@ -161,6 +161,37 @@ def test_find_on_wide_instance_needs_no_recursion():
     assert sys.getrecursionlimit() == limit
 
 
+def _complete(n, shift=0):
+    return {(u + shift, v + shift)
+            for u in range(n) for v in range(n) if u != v}
+
+
+def test_search_does_not_branch_on_isolated_elements(monkeypatch):
+    # K4 -> K3 fails after 9 propagations.  Branching on each of i isolated
+    # vertices numbered before it repeated that search per assignment:
+    # 93, 849, 7,653 and 68,889 propagations for i = 2, 4, 6, 8.
+    calls = []
+    propagate = HomSearcher._propagate_from
+
+    def counting(*args):
+        calls.append(None)
+        return propagate(*args)
+    monkeypatch.setattr(HomSearcher, "_propagate_from",
+                        staticmethod(counting))
+    k3 = make_structure("K3", (("E", 2),), 3, {"E": _complete(3)})
+    for i in range(0, 9, 2):
+        calls.clear()
+        a = make_structure("A", (("E", 2),), i + 4, {"E": _complete(4, i)})
+        assert find_homomorphism(a, k3) is None
+        assert len(calls) == 9 + i
+    # where the rest is satisfiable, every value of an isolated vertex is
+    # still enumerated, in lexicographic order
+    a = make_structure("A", (("E", 2),), 6, {"E": {(1, 2), (2, 4), (4, 1)}})
+    assert list(enumerate_homomorphisms(a, k3)) == [
+        h for h in itertools.product(range(3), repeat=6)
+        if is_homomorphism(a, k3, h)]
+
+
 def test_find_rejects_a_wrong_witness(monkeypatch):
     monkeypatch.setattr(HomSearcher, "enumerate",
                         lambda self, a, limit=None: iter([(0,) * a.size]))
