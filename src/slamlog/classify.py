@@ -19,6 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .datalog import Program, canonical_program, evaluate
 from .homsolver import HomSearcher, core_of, find_homomorphism, is_core
@@ -280,14 +281,18 @@ def _mask_builder(signature: Signature, size: int, spaces):
     structure.  Tuple i of a relation is bit i of that relation's field, and
     relation 0 has the highest field, so ascending masks run in
     `itertools.product` order of the per-relation masks."""
+    bits = [(r, t) for r in reversed(range(len(spaces))) for t in spaces[r]]
+
     def build(mask: int) -> Structure:
-        relations = []
-        for sp in reversed(spaces):
-            relations.append(frozenset(
-                t for i, t in enumerate(sp) if (mask >> i) & 1))
-            mask >>= len(sp)
+        relations = [[] for _ in spaces]
+        while mask:
+            low = mask & -mask
+            r, t = bits[low.bit_length() - 1]
+            relations[r].append(t)
+            mask ^= low
         return Structure(signature=signature, size=size,
-                         relations=tuple(reversed(relations)), name="A")
+                         relations=tuple(map(frozenset, relations)),
+                         name="A")
     return build
 
 
@@ -302,38 +307,40 @@ def enumerate_instances(signature: Signature, size: int,
         yield build(mask)
 
 
-def _chunk_table(targets) -> list[int]:
-    """For each byte, the OR of `1 << targets[k]` over its set bits k."""
-    table = [0] * (1 << len(targets))
-    for byte in range(1, len(table)):
-        low = byte & -byte
-        table[byte] = table[byte ^ low] | 1 << targets[low.bit_length() - 1]
-    return table
-
-
-def _generator_tables(spaces, size: int):
-    """Lookup tables for the images of a mask under a transposition and a
-    cycle of the domain, which together generate all its permutations: per
-    generator, a (shift, table) pair per 8-bit chunk of the mask, where
-    `table[byte]` is the image of the bits `byte` at that shift, so a
-    mask's image is the OR of its chunks' entries."""
+def _permutation_tables(spaces, size: int):
+    """Lookup tables for the images of a mask under a generating set of the
+    domain's permutations: all of them on at most _WHOLE_GROUP elements
+    (5! = 120), otherwise a transposition and a cycle.  Returns (half,
+    tables) with a (low, high) pair of tables per permutation, so that the
+    image of `mask` is `low[mask & (1 << half) - 1] | high[mask >> half]`."""
     position = {}
-    offset = 0
     for r in reversed(range(len(spaces))):
-        for i, t in enumerate(spaces[r]):
-            position[r, t] = offset + i
-        offset += len(spaces[r])
-    swap, cycle = (1, 0, *range(2, size)), (*range(1, size), 0)
-    generators = [swap, cycle] if size > 2 else [swap] if size == 2 else []
+        for t in spaces[r]:
+            position[r, t] = len(position)
+    half = len(position) // 2
+    if size <= _WHOLE_GROUP:
+        perms = itertools.permutations(range(size))
+    else:
+        perms = [(1, 0, *range(2, size)), (*range(1, size), 0)]
     tables = []
-    for p in generators:
-        image = [position[r, tuple(p[e] for e in t)] for r, t in position]
-        tables.append([(lo, _chunk_table(image[lo:lo + 8]))
-                       for lo in range(0, offset, 8)])
-    return tables
+    for p in perms:
+        image = [1 << position[r, tuple(p[e] for e in t)] for r, t in position]
+        pair = []
+        for targets in image[:half], image[half:]:
+            table = [0]
+            for bit in targets:
+                table += [entry | bit for entry in table]
+            pair.append(table)
+        tables.append(pair)
+    return half, tables
+
+
+def _orbit_members(size: int, build, orbit) -> list:
+    return [((size, m), build(m)) for m in sorted(orbit)]
 
 
 _LEFT, _RIGHT = 2, 4  # a sweep's two properties, as bits of an outcome
+_WHOLE_GROUP = 5      # largest domain whose every permutation is a generator
 
 
 def _sweep_instances(signature: Signature, size_cap: int):
@@ -345,10 +352,12 @@ def _sweep_instances(signature: Signature, size_cap: int):
     representative and `members()` lists the labeled orbit as
     ((size, mask), structure), masks numbered as in `enumerate_instances`.
     Each size walks its masks in ascending order over a "seen" array: an
-    unseen mask is the least of its orbit, so it represents its class, and
-    the orbit is its closure under the two generators of the domain's
-    permutations, each member marked seen as it is reached.  The work is
-    thus linear in the labeled instances, never in the permutations.
+    unseen mask is the least of its orbit, so it represents its class.  On
+    at most 5 elements the orbit is the set of the mask's images under every
+    permutation, one pair of table lookups each.  On more (only unary and
+    sparse signatures stay under the stream cap there), n! would be too many
+    and the orbit is the mask's closure under a transposition and a cycle,
+    which is linear in the labeled instances.
 
     The consumer gives `record` the class's outcome, which properties hold
     as _LEFT and _RIGHT bits, before it asks for the next class, and it is
@@ -370,33 +379,35 @@ def _sweep_instances(signature: Signature, size_cap: int):
     for size in range(size_cap + 1):
         spaces = _tuple_spaces(signature, size, loopless=size > 3)
         build = _mask_builder(signature, size, spaces)
-        generators = _generator_tables(spaces, size)
+        half, tables = _permutation_tables(spaces, size)
+        low_bits = (1 << half) - 1
         seen = bytearray(1 << sum(map(len, spaces)))
         mask = 0
         while mask >= 0:
-            seen[mask] = 1
-            orbit = [mask]
-            for member in orbit:
-                for chunks in generators:
-                    image = 0
-                    for shift, table in chunks:
-                        image |= table[member >> shift & 255]
-                    if not seen[image]:
-                        seen[image] = 1
-                        orbit.append(image)
+            if size <= _WHOLE_GROUP:
+                orbit = list({low[mask & low_bits] | high[mask >> half]
+                              for low, high in tables})
+            else:
+                seen[mask] = 1
+                orbit = [mask]
+                for member in orbit:
+                    for low, high in tables:
+                        image = low[member & low_bits] | high[member >> half]
+                        if not seen[image]:
+                            seen[image] = 1
+                            orbit.append(image)
             known, rest = 0, mask
             while rest:
                 low = rest & -rest
                 known |= seen[mask ^ low]
                 rest ^= low
-
-            def record(outcome, orbit=orbit):
-                for m in orbit:
-                    seen[m] = 1 | outcome
-            yield (lambda mask=mask, build=build: build(mask)), len(orbit), \
-                lambda orbit=orbit, size=size, build=build: [
-                    ((size, m), build(m)) for m in sorted(orbit)], \
-                known & (_LEFT | _RIGHT), record
+            recorded = [0]
+            yield partial(build, mask), len(orbit), \
+                partial(_orbit_members, size, build, orbit), \
+                known & (_LEFT | _RIGHT), recorded.append
+            mark = 1 | recorded[-1]
+            for m in orbit:
+                seen[m] = mark
             mask = seen.find(0, mask + 1)
 
 
@@ -467,6 +478,8 @@ def _sweep_classes(signature: Signature, size_cap, instances):
         return _singletons(instances)
     if size_cap is None:
         raise ValueError("need size_cap or an explicit instance stream")
+    if size_cap < 0:
+        raise ValueError(f"negative size cap {size_cap}")
     return _sweep_instances(signature, size_cap)
 
 

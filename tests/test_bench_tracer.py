@@ -29,13 +29,19 @@ def test_tracer_wraps_and_restores_the_traced_names(monkeypatch):
         tracer.install(t)
         assert classify.classify is not originals[0]
         classify.classify(b_n(2))
-        slamlog.verify_duality_pair([path(3)], path(2), 3)
+        traced = [slamlog.verify_duality_pair([f], path(2), 3)
+                  for f in (path(3), path(4))]
         # a directed triangle has no homomorphism to the path P3
         lam = datalog.canonical_program(path(3), "lam")
         assert datalog.evaluate(lam, directed_cycle(3)).goal
     finally:
         t.uninstall()
     counts = t.take()
+    # the tracer drives the sweep's stream with next() alone, and the
+    # reports must not notice it
+    assert [r.to_json() for r in traced] == [
+        slamlog.verify_duality_pair([f], path(2), 3).to_json()
+        for f in (path(3), path(4))]
     for name in ("polymorph.closure_partition", "polymorph.absorptive",
                  "homsolver.find", "classify.classify", "classify.sweep",
                  "classify.sweep.enumerate", "datalog.evaluate",

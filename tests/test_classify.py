@@ -421,12 +421,55 @@ def test_class_counts_and_orbit_sums(signature, size_cap, classes):
     assert [labeled[s] for s in range(size_cap + 1)] == [2 ** b for b in bits]
 
 
-def test_orbits_partition_the_labeled_stream():
-    labeled = list(_labeled(DIGRAPH, 4))
-    members = [a for _, _, orbit, *_ in _sweep_instances(DIGRAPH, 4)
+@pytest.mark.parametrize("signature, size_cap, count", [
+    (DIGRAPH, 4, 4627),   # orbits under every permutation
+    (MIXED, 3, 4165),
+    # on 6 elements and more, orbits are closed under a transposition and
+    # a cycle instead
+    (Signature((("U", 1),)), 8, 511),
+], ids=["digraphs", "U-E", "unary"])
+def test_orbits_partition_the_labeled_stream(signature, size_cap, count):
+    labeled = list(_labeled(signature, size_cap))
+    members = [a for _, _, orbit, *_ in _sweep_instances(signature, size_cap)
                for _, a in orbit()]
-    assert len(members) == len(labeled) == 4627
+    assert len(members) == len(labeled) == count
     assert Counter(members) == Counter(labeled)
+
+
+def test_a_negative_size_cap_is_refused():
+    with pytest.raises(ValueError, match="negative size cap"):
+        verify_duality_pair([path(3)], path(2), -3)
+    with pytest.raises(ValueError, match="negative size cap"):
+        verify_program_solves(canonical_program(path(2), "slam"), path(2),
+                              -1)
+
+
+def test_every_small_digraph_verdict_holds_on_its_own_programs():
+    """The paper's theorem on all 116 digraphs of 1 to 3 vertices: a "yes"
+    for tree duality, caterpillar duality or slam means that the canonical
+    am, lam or slam program solves CSP(B), so a sweep that finds a
+    counterexample forces "no"."""
+    templates = [build() for build, *_ in _sweep_instances(DIGRAPH, 3)][1:]
+    assert len(templates) == 116
+    failing = Counter()
+    for b in templates:
+        verdicts = classify(b).verdicts
+        value = {key: verdicts[key].value
+                 for key in ("tree_duality", "caterpillar_lam", "slam")}
+        assert "inconclusive" not in value.values(), b
+        if value["slam"] == "yes":
+            assert value["caterpillar_lam"] == "yes", b
+        if value["caterpillar_lam"] == "yes":
+            assert value["tree_duality"] == "yes", b
+        for key, kind, size_cap in (("tree_duality", "am", 2),
+                                    ("caterpillar_lam", "lam", 3),
+                                    ("slam", "slam", 3)):
+            rep = verify_program_solves(canonical_program(b, kind), b,
+                                        size_cap)
+            if not rep.holds:
+                assert value[key] == "no", (b, kind)
+                failing[kind] += 1
+    assert failing == {"am": 11, "lam": 11, "slam": 12}
 
 
 def test_sweep_over_the_stream_cap_raises_before_sweeping():

@@ -196,6 +196,12 @@ def test_verify_over_the_stream_cap_exits_2(files, capsys):
     assert "stream cap" in capsys.readouterr().err
 
 
+def test_verify_with_a_negative_size_exits_2(files, capsys):
+    assert main(["verify", "duality", files["p2"], files["p3"],
+                 "--size", "-1"]) == 2
+    assert "negative size cap" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_clean_error(files, capsys):
     assert main(["classify", str(files["dir"] / "nope.txt")]) == 2
     assert "error:" in capsys.readouterr().err
