@@ -312,23 +312,30 @@ def _permutation_tables(spaces, size: int):
     domain's permutations: all of them on at most _WHOLE_GROUP elements
     (5! = 120), otherwise a transposition and a cycle.  Returns (half,
     tables) with a (low, high) pair of tables per permutation, so that the
-    image of `mask` is `low[mask & (1 << half) - 1] | high[mask >> half]`."""
+    image of `mask` is `low[mask & (1 << half) - 1] | high[mask >> half]`.
+    The whole group is the generators' closure under composing index arrays."""
     position = {}
     for r in reversed(range(len(spaces))):
         for t in spaces[r]:
             position[r, t] = len(position)
-    half = len(position) // 2
+    gens = [(1, 0, *range(2, size)), (*range(1, size), 0)] if size > 1 else []
+    images = [tuple(position[r, tuple(g[e] for e in t)] for r, t in position)
+              for g in gens]
     if size <= _WHOLE_GROUP:
-        perms = itertools.permutations(range(size))
-    else:
-        perms = [(1, 0, *range(2, size)), (*range(1, size), 0)]
+        moves, images = images, [tuple(range(len(position)))]
+        group = set(images)
+        for q in images:
+            new = {tuple(g[i] for i in q) for g in moves} - group
+            group |= new
+            images += new
+    half = len(position) // 2
     tables = []
-    for p in perms:
-        image = [1 << position[r, tuple(p[e] for e in t)] for r, t in position]
+    for image in images:
         pair = []
         for targets in image[:half], image[half:]:
             table = [0]
-            for bit in targets:
+            for i in targets:
+                bit = 1 << i
                 table += [entry | bit for entry in table]
             pair.append(table)
         tables.append(pair)

@@ -5,7 +5,13 @@ Search is complete backtracking with arc-consistency propagation at every
 node, in one iterative depth-first loop.  It branches on the lowest-index
 element that still has more than one candidate and tries its values in
 ascending order, so homomorphisms come out in lexicographic order of the
-value tuple and `find` returns the lexicographically first one.
+value tuple and `find` returns the lexicographically first one.  Search is
+linear in the source's independent components: a frame whose values all
+fail with nothing yielded also pops the frames of other components beneath
+it, which cannot mend its own (conflict-directed backjumping: Prosser,
+Comput. Intell. 9(3), 1993).  `find` gives an element in no atom its least
+value without a frame: the least homomorphism of a disjoint union is the
+union of its parts' least ones.
 
 Propagation revises atoms.  An atom is a source tuple paired with its
 relation in the target, and revising it keeps, at each position, the values
@@ -125,6 +131,21 @@ def _support(t: tuple[int, ...], rel, cand: list[int]) -> list[int]:
         first, second = cand[t[0]], cand[t[1]]
         return [_image(in_, second) & first, _image(out, first) & second]
     return _scan_support(t, rel, cand)
+
+
+def _components(atoms, size: int) -> list[int]:
+    """Per element, a representative of its connected component in the
+    source, by union-find over the atoms; an element in no atom is its own."""
+    parent = list(range(size))
+
+    def root(e):
+        while parent[e] != e:
+            parent[e] = e = parent[parent[e]]  # path halving
+        return e
+    for t, _ in atoms:
+        for e in t[1:]:
+            parent[root(e)] = root(t[0])
+    return [root(e) for e in range(size)]
 
 
 def _values(cand: list[int]) -> tuple[int, ...]:
@@ -249,40 +270,43 @@ class HomSearcher:
     def enumerate(self, a: Structure, limit: int | None = None):
         """Yield every homomorphism in lexicographic order of the value tuple."""
         _check_signatures(a, self.target)
-        if limit is not None and limit <= 0:
-            return
-        if a.size == 0:
-            yield ()
-            return
-        if self.nb == 0:
+        if (limit is not None and limit <= 0) or (a.size and self.nb == 0):
             return
         atoms = self._atoms(a)
         cand = [self.full] * a.size
         if not self._propagate(atoms, cand):
             return
         var = _first_unfixed(cand, 0)
+        if var is not None:
+            watch, repeated = self._index(atoms, a.size)
+            if limit == 1:  # an element in no atom takes its least value
+                cand = [m if watch[e] else 1 for e, m in enumerate(cand)]
+                var = _first_unfixed(cand, var)
         if var is None:
             yield _values(cand)
             return
-        watch, repeated = self._index(atoms, a.size)
         queued = bytearray(len(atoms))
         trail: list[tuple[int, int]] = []
         # One frame per branching element: [element, values not yet tried,
         # trail length and homomorphisms yielded when it was pushed].
         stack = [[var, cand[var], 0, 0]]
         count = 0
+        component = None
         while stack:
             frame = stack[-1]
             var, rest, mark, before = frame
             while len(trail) > mark:
                 e, m = trail.pop()
                 cand[e] = m
-            # The value of an element in no atom leaves the rest of the
-            # search as it is, so once its first value has been tried
-            # (rest != cand[var]) and yielded nothing, no other value will.
-            if not rest or (not watch[var] and count == before
-                            and rest != cand[var]):
+            if not rest:
                 stack.pop()
+                if count == before:
+                    # var's component fails under its frames beneath, and
+                    # no frame of another component can change that.
+                    component = component or _components(atoms, a.size)
+                    while (stack and stack[-1][3] == count and
+                           component[stack[-1][0]] != component[var]):
+                        stack.pop()
                 continue
             low = rest & -rest
             frame[1] = rest ^ low

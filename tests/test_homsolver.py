@@ -9,6 +9,7 @@ import pytest
 from slamlog.classify import Caps, classify
 from slamlog.fixtures import (
     b_n,
+    digraph,
     directed_cycle,
     horn_sat,
     path,
@@ -33,6 +34,7 @@ from slamlog.homsolver import (
     is_homomorphism,
     is_isomorphic,
 )
+from slamlog.polymorph import absorptive_check
 from slamlog.structures import make_structure
 
 
@@ -166,30 +168,53 @@ def _complete(n, shift=0):
             for u in range(n) for v in range(n) if u != v}
 
 
-def test_search_does_not_branch_on_isolated_elements(monkeypatch):
-    # K4 -> K3 fails after 9 propagations.  Branching on each of i isolated
-    # vertices numbered before it repeated that search per assignment:
-    # 93, 849, 7,653 and 68,889 propagations for i = 2, 4, 6, 8.
-    calls = []
-    propagate = HomSearcher._propagate_from
-
-    def counting(*args):
-        calls.append(None)
-        return propagate(*args)
-    monkeypatch.setattr(HomSearcher, "_propagate_from",
-                        staticmethod(counting))
+def test_search_does_not_branch_on_isolated_elements(propagations):
+    # K4 -> K3 fails after 9 propagations.  `find` gives each of i isolated
+    # vertices numbered before it its least value without a propagation,
+    # and `enumerate` tries one value of each before it backjumps past them;
+    # branching on them repeated the search per assignment: 93, 849, 7,653
+    # and 68,889 propagations for i = 2, 4, 6, 8.
     k3 = make_structure("K3", (("E", 2),), 3, {"E": _complete(3)})
     for i in range(0, 9, 2):
-        calls.clear()
         a = make_structure("A", (("E", 2),), i + 4, {"E": _complete(4, i)})
+        propagations.clear()
         assert find_homomorphism(a, k3) is None
-        assert len(calls) == 9 + i
+        assert len(propagations) == 9
+        propagations.clear()
+        assert list(enumerate_homomorphisms(a, k3)) == []
+        assert len(propagations) == 9 + i
     # where the rest is satisfiable, every value of an isolated vertex is
     # still enumerated, in lexicographic order
     a = make_structure("A", (("E", 2),), 6, {"E": {(1, 2), (2, 4), (4, 1)}})
     assert list(enumerate_homomorphisms(a, k3)) == [
         h for h in itertools.product(range(3), repeat=6)
         if is_homomorphism(a, k3, h)]
+
+
+def test_search_backjumps_past_other_components(propagations):
+    # K4 -> K3 after i disjoint edges numbered first: each edge branches
+    # twice, then the failing K4 jumps back past every edge frame.
+    # Re-exploring K4 per assignment of the edges took 63, 387, 2,331,
+    # 13,995 and 83,979 propagations for i = 1..5.
+    k3 = make_structure("K3", (("E", 2),), 3, {"E": _complete(3)})
+    for i in range(6):
+        edges = {(2 * j, 2 * j + 1) for j in range(i)}
+        a = make_structure("A", (("E", 2),), 2 * i + 4,
+                           {"E": edges | _complete(4, 2 * i)})
+        propagations.clear()
+        assert find_homomorphism(a, k3) is None
+        assert len(propagations) == 9 + 2 * i
+
+
+def test_absorptive_check_on_a_disconnected_indicator_ends_at_once(
+        propagations):
+    # The set systems this check maps are mostly in no tuple, plus a few
+    # small pieces; before the backjump the search took 19 propagations,
+    # and before the isolated-element rule over 20 s.
+    b = make_structure("B", (("U", 1), ("R", 3)), 4,
+                       {"U": set(), "R": {(2, 3, 0), (3, 2, 3)}})
+    assert absorptive_check(b, 12, 18, stream_cap=2**12).status == "no"
+    assert len(propagations) <= 2
 
 
 def test_find_rejects_a_wrong_witness(monkeypatch):
@@ -214,17 +239,82 @@ def test_weak_rules_sweep_ends_inconclusive_at_its_cap():
         (k, n) for k in (1, 2) for n in (1, 2, 3)]
 
 
+_SIGNATURE = (("U", 1), ("E", 2), ("R", 3))
+
+
+def _part(rng, size, density):
+    return _random_structure(rng, _SIGNATURE, size, density)
+
+
+def _disjoint_union(parts, order):
+    """The disjoint union of `parts`, the elements of part i numbered as
+    order[offset_i + e]."""
+    rels, offset = {name: set() for name, _ in _SIGNATURE}, 0
+    for p in parts:
+        for (name, _), rel in zip(_SIGNATURE, p.relations):
+            rels[name] |= {tuple(order[offset + e] for e in t) for t in rel}
+        offset += p.size
+    return make_structure("A", _SIGNATURE, offset, rels)
+
+
+def _multi_component_source(rng, b):
+    """A source of a few parts with atoms, some atom-free elements, and
+    often a part with no homomorphism to b numbered first or last; the
+    other elements are interleaved between parts half of the time."""
+    parts = [_part(rng, rng.randrange(1, 3), rng.choice((0.2, 0.4)))
+             for _ in range(rng.randrange(1, 3))]
+    parts += [_part(rng, 1, 0.0) for _ in range(rng.randrange(3))]
+    size = sum(p.size for p in parts)
+    order = list(range(size))
+    if rng.random() < 0.5:
+        rng.shuffle(order)
+    where = rng.choice(("first", "last", None))
+    if where is not None:
+        for _ in range(20):
+            bad = _part(rng, rng.randrange(1, 3), 0.5)
+            if _brute_force_hom(bad, b) is None:
+                if where == "first":
+                    parts.insert(0, bad)
+                    order = list(range(bad.size)) + [
+                        bad.size + e for e in order]
+                else:
+                    parts.append(bad)
+                    order += range(size, size + bad.size)
+                break
+    return _disjoint_union(parts, order)
+
+
+def _homs_in_order(a, b):
+    return [h for h in itertools.product(range(b.size), repeat=a.size)
+            if is_homomorphism(a, b, h)]
+
+
 def test_enumerate_homomorphisms_matches_brute_force_count():
     rng = random.Random(5)
     for _ in range(60):
         a = _random_digraph(rng, max_size=3)
         b = _random_digraph(rng, max_size=3)
-        got = sorted(enumerate_homomorphisms(a, b))
-        want = sorted(
-            h for h in itertools.product(range(b.size), repeat=a.size)
-            if is_homomorphism(a, b, h)
-        )
-        assert [tuple(h) for h in got] == want
+        assert list(enumerate_homomorphisms(a, b)) == _homs_in_order(a, b)
+    # The component {0, 2, 4, 5} fails under 0 = 1 only once 2 branches,
+    # with the frame of 1 (edge (1, 3)) between them: the backjump must stop
+    # at 0's frame, whose value 2 gives every homomorphism.  Random sources
+    # this small rarely need that.
+    a = digraph(6, [(0, 5), (2, 4), (5, 2), (5, 4), (1, 3)])
+    b = digraph(3, [(0, 2), (1, 0), (1, 2), (2, 1)])
+    assert list(enumerate_homomorphisms(a, b)) == _homs_in_order(a, b) != []
+    # Sources of several components, against U/1, E/2 and R/3 together:
+    # full enumeration, `limit=2` and `find` keep lexicographic order.
+    rng = random.Random(18)
+    kinds = {"none": 0, "one": 0, "several": 0}
+    for _ in range(300):
+        b = _part(rng, rng.randrange(1, 4), rng.choice((0.3, 0.6)))
+        a = _multi_component_source(rng, b)
+        want = _homs_in_order(a, b)
+        assert list(enumerate_homomorphisms(a, b)) == want
+        assert list(enumerate_homomorphisms(a, b, limit=2)) == want[:2]
+        assert find_homomorphism(a, b) == (want[0] if want else None)
+        kinds[("none", "one", "several")[min(len(want), 2)]] += 1
+    assert min(kinds.values()) > 15, kinds
 
 
 def test_path_into_longer_path_counts():
