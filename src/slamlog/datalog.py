@@ -437,11 +437,13 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
     differ only in their head.  Rules without an IDB body atom fire first,
     in rule order over sorted rows.  A worklist then pops (predicate,
     element) states; each group of runs that uses the popped predicate
-    looks up the rows that agree with it once, and each of its runs keeps
-    those whose IDB body facts have all been popped and fires its heads in
-    ascending order, which is rule order, over them.  A program of any
-    other shape is grounded up front and run with a countdown per ground
-    instance.
+    looks up the rows that agree with it once.  A run whose checks name a
+    subset popped at no entry of these rows, or whose ready rows (those
+    whose IDB body facts have all been popped) already have all of its
+    heads, is skipped, as it would derive nothing; any other fires its
+    heads in ascending order, which is rule order, over its ready rows.  A
+    program of any other shape is grounded up front and run with a
+    countdown per ground instance.
 
     Either way facts are derived in the order of grounding every rule
     against every row up front, so facts, goal and trace are those of that
@@ -504,27 +506,45 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
                 sorted({t for key in keys for t in columns[key].get(v, ())})
             if not rows:
                 continue
+            seen_at = None          # per position, what was popped at a row
             for head, checks, heads, ref in runs:
-                if head is None:    # goal rules fire alike; the first wins
-                    if GOAL_FACT in provenance:
-                        continue
-                    for t in rows:
-                        if all([popped[t[x]] >> c & 1 for x, c in checks]):
-                            provenance[GOAL_FACT] = (ref, t, state)
-                            stop = stop_at_goal
+                ready = rows
+                if checks:          # the rows whose checked facts are popped
+                    ready = []
+                    if seen_at is None:
+                        seen_at = [0] * len(rows[0])
+                        for t in rows:
+                            for x, w in enumerate(t):
+                                seen_at[x] |= popped[w]
+                    # none, when a subset was popped at no row's position
+                    for x, c in checks:
+                        if not seen_at[x] >> c & 1:
                             break
+                    else:
+                        for t in rows:
+                            for x, c in checks:
+                                if not popped[t[x]] >> c & 1:
+                                    break
+                            else:
+                                ready.append(t)
+                    if not ready:
+                        continue
+                if head is None:    # goal rules fire alike; the first wins
+                    provenance.setdefault(GOAL_FACT, (ref, ready[0], state))
+                    stop = stop_at_goal
                     if stop:
                         break
                     continue
+                todo = 0            # heads some ready row's element lacks
+                for t in ready:
+                    todo |= ~derived[t[head]]
+                todo &= heads
+                if not todo:
+                    continue
                 # the first ready row of each head element, in row order
                 targets: dict = {}
-                for t in rows:
-                    if not checks or all([popped[t[x]] >> c & 1
-                                          for x, c in checks]):
-                        targets.setdefault(t[head], t)
-                todo = 0            # heads some target still lacks
-                for w in targets:
-                    todo |= heads & ~derived[w]
+                for t in ready:
+                    targets.setdefault(t[head], t)
                 # rule-major by ascending head, as if each rule came alone
                 while todo:
                     bit = todo & -todo
@@ -538,11 +558,9 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
             if stop:
                 break
 
-    def fact(state):
-        return state if state == GOAL_FACT else (names[state[0]], state[1:])
-
-    facts = frozenset(map(fact, provenance))
     goal = GOAL_FACT in provenance
+    facts = [(names[q], (v,)) for q, v in provenance if q != GOAL]
+    facts = frozenset(facts + [GOAL_FACT] if goal else facts)
     trace = None
     if goal and linear:
         steps = []
@@ -558,7 +576,9 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
                                   rule.body[0].args), t))
             bindings = tuple([(v, value[v]) for v in dict.fromkeys(
                 [v for atom in (rule.head, *rule.body) for v in atom.args])])
-            steps.append(DerivationStep(fact=fact(state), rule_index=rule_idx,
+            fact = state if state == GOAL_FACT else \
+                (names[state[0]], state[1:])
+            steps.append(DerivationStep(fact=fact, rule_index=rule_idx,
                                         bindings=bindings))
             state = body
         trace = Derivation(program=p, steps=tuple(reversed(steps)))
@@ -678,8 +698,24 @@ def _bits(mask: int):
 
 
 def _subset_names(n: int) -> list[str]:
-    """subset_name of every subset of range(n), indexed by its bit mask."""
-    return [subset_name(tuple(_bits(m))) for m in range(1 << n)]
+    """subset_name of every subset of range(n), indexed by its bit mask:
+    each name is a shorter one extended by the mask's highest element."""
+    names = ["Pempty"]
+    for m in range(1, 1 << n):
+        top = m.bit_length() - 1
+        rest = m ^ 1 << top
+        names.append(f"{names[rest][:-1]}_{top}}}" if rest else f"P{{{top}}}")
+    return names
+
+
+def _subset_masks(n: int) -> list[int]:
+    """Per subset mask m of range(n), the mask over subset masks of m's
+    subsets: those of m without its lowest element, with and without it."""
+    subsets = [1] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        subsets[m] = subsets[m ^ low] | subsets[m ^ low] << low
+    return subsets
 
 
 def _canonical_blocks(b: Structure, fragment: str):
@@ -699,15 +735,15 @@ def _canonical_blocks(b: Structure, fragment: str):
     """
     n = b.size
     full = 1 << n
+    top = full - 1      # the mask of every element
     # supersets[m] and subsets[m]: the subset masks that contain m and that
     # m contains, as masks over subset masks
     has = [sum([1 << s for s in range(full) if s >> e & 1]) for e in range(n)]
     supersets = [(1 << full) - 1] * full
-    subsets = [1] * full
     for m in range(1, full):
         low = m & -m
         supersets[m] = supersets[m ^ low] & has[low.bit_length() - 1]
-        subsets[m] = subsets[m ^ low] | subsets[m ^ low] << low
+    subsets = _subset_masks(n)
     relations = [(sym, r, sorted(rel)) for sym, r, rel in b.relation_items()]
     linear = fragment != "am"
 
@@ -717,63 +753,63 @@ def _canonical_blocks(b: Structure, fragment: str):
             mask |= 1 << t[x]
         return mask
 
-    def steps(rows, x, y):
-        """Per element e, the mask of u[y] over the rows u with u[x] = e."""
-        out = [0] * n
-        for u in rows:
-            out[u[x]] |= 1 << u[y]
+    def unions(rows, x, values):
+        """Per subset mask, the OR of values[i] over the rows i whose entry
+        at x lies in it."""
+        at = [0] * n
+        for u, value in zip(rows, values):
+            at[u[x]] |= value
+        out = [0] * full
+        for m in range(1, full):
+            low = m & -m
+            out[m] = out[m ^ low] | at[low.bit_length() - 1]
         return out
 
-    def constrained(rows, positions):
-        """Each tuple of subset masks at positions, in product order, with
-        the mask of the indices of the rows whose entries there lie in
-        them."""
-        out = [((), (1 << len(rows)) - 1)]
-        for x in positions:
-            hits = [sum([1 << i for i, u in enumerate(rows) if c >> u[x] & 1])
-                    for c in range(full)]
-            out = [(combo + (c,), mask & hits[c])
-                   for combo, mask in out for c in range(full)]
+    def constrained(rows, r):
+        """Per mask of positions, each tuple of subset masks at its
+        positions, in product order, with the mask of the indices of the
+        rows whose entries there lie in them; each mask's product extends
+        that of the mask without its highest position."""
+        hits = [unions(rows, x, [1 << i for i in range(len(rows))])
+                for x in range(r)]
+        out = [[((), (1 << len(rows)) - 1)]]
+        for vmask in range(1, 1 << r):
+            x = vmask.bit_length() - 1
+            out.append([(combo + (c,), mask & hits[x][c])
+                        for combo, mask in out[vmask ^ 1 << x]
+                        for c in range(full)])
         return out
 
     for sym, r, rows in relations:
         for y in range(r):
             yield sym, r, y, (), (((), supersets[column(rows, y)]),), False
+    products = []
     for sym, r, rows in relations:
+        if not linear:
+            products.append(constrained(rows, r))
+            found = {hits for product in products[-1] for _, hits in product}
         for y in range(r):
             if linear:
                 for x in range(r):
                     # P_s(y) :- P_t(x) when t's image lies in s and, for
-                    # slam, s's image back lies in t: s within the elements
-                    # whose image back lies in t
-                    forth, back = steps(rows, x, y), steps(rows, y, x)
-                    pairs = []
-                    image = [0] * full
-                    for t in range(full):
-                        if t:
-                            low = t & -t
-                            image[t] = image[t ^ low] | \
-                                forth[low.bit_length() - 1]
-                        heads = supersets[image[t]]
-                        if fragment == "slam":
-                            heads &= subsets[sum(
-                                1 << e for e in range(n) if not back[e] & ~t)]
-                        if heads:
-                            pairs.append(((t,), heads))
-                    yield sym, r, y, (x,), tuple(pairs), True
+                    # slam, s's image back lies in t: no element outside t
+                    # steps into s
+                    image = unions(rows, x, [1 << u[y] for u in rows])
+                    heads = [supersets[m] for m in image]
+                    if fragment == "slam":
+                        heads = [h & subsets[top ^ image[top ^ t]]
+                                 for t, h in enumerate(heads)]
+                    yield sym, r, y, (x,), tuple([
+                        ((t,), h) for t, h in enumerate(heads) if h]), True
                 continue
             # the head subsets of each mask of matching rows
-            heads = {}
+            heads = {hits: supersets[column([rows[i] for i in _bits(hits)], y)]
+                     for hits in found}
             for vmask in range(1, 1 << r):
-                positions = tuple(_bits(vmask))
-                pairs = []
-                for combo, hits in constrained(rows, positions):
-                    if hits not in heads:
-                        heads[hits] = supersets[column(
-                            [rows[i] for i in _bits(hits)], y)]
-                    pairs.append((combo, heads[hits]))
-                yield sym, r, y, positions, tuple(pairs), False
-    for sym, r, rows in relations:
+                yield sym, r, y, tuple(_bits(vmask)), tuple([
+                    (combo, heads[hits]) for combo, hits in products[-1][vmask]
+                ]), False
+    for i, (sym, r, rows) in enumerate(relations):
         if linear:
             for x in range(r):
                 proj = column(rows, x)
@@ -781,9 +817,8 @@ def _canonical_blocks(b: Structure, fragment: str):
                     ((t,), 1) for t in range(full) if not t & proj]), False
             continue
         for vmask in range(1, 1 << r):
-            positions = tuple(_bits(vmask))
-            yield sym, r, None, positions, tuple([
-                (combo, 1) for combo, hits in constrained(rows, positions)
+            yield sym, r, None, tuple(_bits(vmask)), tuple([
+                (combo, 1) for combo, hits in products[i][vmask]
                 if not hits]), False
     for sym, r, rows in relations:
         if not rows:
@@ -842,13 +877,18 @@ def _canonical_tables(b: Structure, fragment: str):
             _canonical_blocks(b, fragment):
         block = (pairs, by_head, index)
         columns = tuple([(rel, x) for x in positions])
-        linear = linear and len(positions) <= 1
+        index += sum([heads.bit_count() for _, heads in pairs])
+        if len(positions) <= 1:
+            for i, (body, heads) in enumerate(pairs):   # _add_run inline
+                entries = users[body[0]] if body else initial
+                run = (head, (), heads, (block, i))
+                if entries and entries[-1][:2] == (rel, columns):
+                    entries[-1][2].append(run)
+                else:
+                    entries.append((rel, columns, [run]))
+            continue
+        linear = False
         for i, (body, heads) in enumerate(pairs):
-            index += heads.bit_count()
-            if len(body) <= 1:
-                _add_run(users[body[0]] if body else initial, rel, columns,
-                         (head, (), heads, (block, i)))
-                continue
             run = (head, tuple(zip(positions, body)), heads, (block, i))
             keys: dict = {}      # subset -> its columns in the body
             for column, q in zip(columns, body):
@@ -856,7 +896,7 @@ def _canonical_tables(b: Structure, fragment: str):
             for q, columns_of_q in keys.items():
                 _add_run(users[q], rel, columns_of_q, run)
     dominated = [0] * full if fragment == "slam" else \
-        [sum([1 << t for t in range(s) if t & s == t]) for s in range(full)]
+        [m ^ 1 << s for s, m in enumerate(_subset_masks(b.size))]
     return initial, users, linear, _subset_names(b.size), dominated
 
 

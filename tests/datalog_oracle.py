@@ -5,7 +5,11 @@ integer tables, compiled from a template's rule blocks or from the rules,
 and must return the same facts, goal and trace; the differential tests in
 test_datalog.py hold it to that, for canonical programs, the same programs
 parsed back and hand-written ones.  Slow and memory-hungry on large
-programs, so kept out of the package."""
+programs, so kept out of the package.
+
+`canonical_rules` lists the valid rules of a canonical program's shape by
+trying every candidate against the template's rows, as the definition
+reads, for comparison with `slamlog.datalog.canonical_program`."""
 
 from __future__ import annotations
 
@@ -13,11 +17,15 @@ import itertools
 from collections import deque
 
 from slamlog.datalog import (
+    GOAL,
     GOAL_FACT,
+    Atom,
     Derivation,
     DerivationStep,
     EvalResult,
     Program,
+    Rule,
+    subset_name,
 )
 from slamlog.homsolver import SignatureMismatch
 from slamlog.structures import Structure
@@ -148,3 +156,45 @@ def evaluate_grounded(p: Program, a: Structure,
             fact = body[0]
         trace = Derivation(program=p, steps=tuple(reversed(steps)))
     return EvalResult(facts=frozenset(provenance), goal=goal, trace=trace)
+
+
+def canonical_rules(b: Structure, fragment: str) -> list[Rule]:
+    """Every valid rule of the shape of the canonical `fragment` program of
+    the template: for each relation R(x1, ..., xr), the rules whose body is
+    R(x1, ..., xr) and subset atoms P_t(xi) at distinct positions (at most
+    one in lam and slam), with a head P_s(xj) or goal.  A rule is valid
+    when every row of R that puts each xi in its t puts xj in s; a goal
+    rule, when no row does.  slam keeps a rule with a subset atom in its
+    body only when its reverse, with head and body subset atoms swapped,
+    is valid too.  Last comes goal :- Pempty(x1)."""
+    subsets = [frozenset(c) for k in range(b.size + 1)
+               for c in itertools.combinations(range(b.size), k)]
+    out = []
+    for (sym, r), rows in zip(b.signature.symbols, b.relations):
+        xs = tuple(f"x{i + 1}" for i in range(r))
+
+        def valid(body, y=None, s=()):
+            """Whether each row with u[x] in t for every (x, t) of body has
+            u[y] in s; for a goal rule (y None), whether there is none."""
+            return all(y is not None and u[y] in s for u in rows
+                       if all(u[x] in t for x, t in body))
+
+        for k in range((r if fragment == "am" else 1) + 1):
+            for positions in itertools.combinations(range(r), k):
+                for ts in itertools.product(subsets, repeat=k):
+                    body = tuple(zip(positions, ts))
+                    atoms = (Atom(sym, xs), *[Atom(subset_name(t), (xs[x],))
+                                              for x, t in body])
+                    if valid(body):
+                        out.append(Rule(Atom(GOAL, ()), atoms))
+                    for y in range(r):
+                        for s in subsets:
+                            if not valid(body, y, s):
+                                continue
+                            if fragment == "slam" and body and \
+                                    not valid(((y, s),), *body[0]):
+                                continue
+                            out.append(Rule(Atom(subset_name(s), (xs[y],)),
+                                            atoms))
+    out.append(Rule(Atom(GOAL, ()), (Atom(subset_name(()), ("x1",)),)))
+    return out

@@ -7,7 +7,7 @@ import itertools
 import random
 
 import pytest
-from datalog_oracle import evaluate_grounded
+from datalog_oracle import canonical_rules, evaluate_grounded
 
 from slamlog import datalog
 from slamlog.classify import enumerate_instances
@@ -182,6 +182,31 @@ def test_canonical_program_rule_counts():
     }
     for (b, fragment), want in table.items():
         assert len(canonical_program(b, fragment).rules) == want, (b.name, fragment)
+
+
+def test_canonical_programs_are_every_valid_rule_of_their_shape():
+    """canonical_program renders its rules from the template's blocks;
+    the brute-force enumeration reads the definition instead."""
+    for b in (path(2), path(3), transitive_tournament(3), b_n(2),
+              directed_cycle(3), horn_sat()):
+        for fragment in datalog.FRAGMENTS:
+            got = {canonical_rule_key(rule)
+                   for rule in canonical_program(b, fragment).rules}
+            want = {canonical_rule_key(rule)
+                    for rule in canonical_rules(b, fragment)}
+            assert got == want, (b.name, fragment)
+
+
+def test_subset_tables_equal_their_closed_forms():
+    for n in range(7):
+        assert datalog._subset_names(n) == \
+            [subset_name(tuple(datalog._bits(m))) for m in range(1 << n)]
+        empty = make_structure(f"E{n}", (), n, {})
+        for fragment in datalog.FRAGMENTS:
+            dominated = datalog._canonical_tables(empty, fragment)[4]
+            assert dominated == ([0] * (1 << n) if fragment == "slam" else [
+                sum(1 << t for t in range(s) if t & s == t)
+                for s in range(1 << n)]), (n, fragment)
 
 
 def test_canonical_program_fragment_flags():
