@@ -126,6 +126,8 @@ def _absorptive_witness(res) -> dict:
 
 def classify(b: Structure, caps: Caps = Caps()) -> ClassificationReport:
     """Full report on tree duality, caterpillar duality, and slam."""
+    if b.size == 0:
+        raise ValueError(f"template {b.name or 'structure'} has an empty domain")
     verdicts: dict[str, Verdict] = {}
     witnesses: dict = {}
     timing: dict[str, float] = {}

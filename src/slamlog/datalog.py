@@ -367,8 +367,7 @@ def _rule_tables(p: Program):
     users: list[list] = []
     linear = True
     for rule_idx, rule in enumerate(p.rules):
-        edb = [atom for atom in rule.body if atom.pred in sig]
-        idb = [atom for atom in rule.body if atom.pred not in sig]
+        edb, idb = _body_split(rule, sig)
         if len(edb) == 1 and len(set(edb[0].args)) == len(edb[0].args):
             rel, args = edb[0].pred, edb[0].args
         elif not edb and len(idb) == 1 and rule.head.pred == GOAL:
@@ -729,9 +728,8 @@ def _canonical_blocks(b: Structure, fragment: str):
     P_t(x{x+1}) for the masks t of a pair's body at the positions x; head
     is the position of the head variable, None for goal rules.  A pair
     (body, heads) stands for one rule per set bit s of heads, with head
-    P_s(x{head+1}); the heads of a goal rule are 1.  _block_rules gives the
-    order of a block's rules: by head subset first when by_head is set,
-    else by pair.
+    P_s(x{head+1}); the heads of a goal rule are 1.  A block's rules come in
+    order of head subset first when by_head is set, else of pair.
     """
     n = b.size
     full = 1 << n
@@ -826,29 +824,6 @@ def _canonical_blocks(b: Structure, fragment: str):
     yield None, 1, None, (0,), (((0,), 1),), False
 
 
-def _block_rules(pairs, by_head: bool, start: int) -> list[list]:
-    """The rules of each pair of a block, as [(head subset, rule index),
-    ...] by ascending head, numbered from start in program order: by head
-    subset first when by_head is set, else by pair."""
-    top = max([heads for _, heads in pairs], default=0).bit_length()
-    if by_head:
-        out: list[list] = [[] for _ in pairs]
-        for s in range(top):
-            for run, (_, heads) in zip(out, pairs):
-                if heads >> s & 1:
-                    run.append((s, start))
-                    start += 1
-        return out
-    bits = {heads: [s for s in range(top) if heads >> s & 1]
-            for heads in {heads for _, heads in pairs}}
-    out = []
-    for _, heads in pairs:
-        subsets = bits[heads]
-        out.append(list(zip(subsets, range(start, start + len(subsets)))))
-        start += len(subsets)
-    return out
-
-
 def _canonical_tables(b: Structure, fragment: str):
     """The worklist tables of canonical_program(b, fragment), read off its
     blocks: (initial, users, linear, names, dominated).
@@ -937,14 +912,16 @@ def canonical_program(b: Structure, fragment: str) -> Program:
         edb = () if rel is None else (Atom(rel, variables),)
         heads = goal if head is None else \
             [Atom(name, (variables[head],)) for name in names]
-        runs = _block_rules(pairs, by_head, 0)
-        block: list = [None] * sum(map(len, runs))
-        for (body, _), run in zip(pairs, runs):
-            atoms = edb + tuple([Atom(names[t], (variables[x],))
-                                 for x, t in zip(positions, body)])
-            for s, rule_idx in run:
-                block[rule_idx] = Rule(head=heads[s], body=atoms)
-        rules += block
+        bodies = [(edb + tuple([Atom(names[t], (variables[x],))
+                                for x, t in zip(positions, body)]), mask)
+                  for body, mask in pairs]
+        if by_head:     # by head subset first, then by pair
+            top = max([mask for _, mask in pairs], default=0).bit_length()
+            rules += [Rule(head=heads[s], body=atoms) for s in range(top)
+                      for atoms, mask in bodies if mask >> s & 1]
+        else:
+            rules += [Rule(head=heads[s], body=atoms)
+                      for atoms, mask in bodies for s in _bits(mask)]
     program = Program(signature=b.signature, rules=tuple(rules))
     object.__setattr__(program, "origin", (b, fragment))
     return program
@@ -1076,10 +1053,7 @@ def repair_to_symmetric(d: Derivation, slam: Program) -> Derivation:
         x = edb.args.index(idb.args[0])
         yy = edb.args.index(rule.head.args[0])
         rows = b.rel(edb.pred)
-        if x == yy:
-            arrow = frozenset((t[x], t[x]) for t in rows)
-        else:
-            arrow = frozenset((t[x], t[yy]) for t in rows)
+        arrow = frozenset((t[x], t[yy]) for t in rows)
         arrows.append(arrow)
         current = frozenset(v for u, v in arrow if u in current)
         sets.append(current)

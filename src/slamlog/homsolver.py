@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .structures import Structure
+from .structures import Partition, Structure
 
 
 class SignatureMismatch(ValueError):
@@ -135,17 +135,12 @@ def _support(t: tuple[int, ...], rel, cand: list[int]) -> list[int]:
 
 def _components(atoms, size: int) -> list[int]:
     """Per element, a representative of its connected component in the
-    source, by union-find over the atoms; an element in no atom is its own."""
-    parent = list(range(size))
-
-    def root(e):
-        while parent[e] != e:
-            parent[e] = e = parent[parent[e]]  # path halving
-        return e
+    source; an element in no atom is its own."""
+    part = Partition(size)
     for t, _ in atoms:
         for e in t[1:]:
-            parent[root(e)] = root(t[0])
-    return [root(e) for e in range(size)]
+            part.union(t[0], e)
+    return [part.find(e) for e in range(size)]
 
 
 def _values(cand: list[int]) -> tuple[int, ...]:

@@ -70,7 +70,7 @@ class OperationTable:
         for rel in b.relations:
             for codes in _power_codes(sorted(rel), self.arity, self.size,
                                       stream_cap):
-                if tuple(values[x] for x in codes) not in rel:
+                if tuple(map(values.__getitem__, codes)) not in rel:
                     return False
         return True
 
@@ -296,7 +296,7 @@ def _power_codes(rows, m: int, size: int, stream_cap: int):
         raise CapExceeded(f"{len(rows)}^{m} tuple combinations")
     low = _half_codes(rows, m // 2, size)
     shift = size ** (m // 2)
-    for high in _half_codes(rows, m - m // 2, size):
+    for high in low if m % 2 == 0 else _half_codes(rows, m - m // 2, size):
         shifted = tuple(c * shift for c in high)
         for codes in low:
             yield tuple(map(operator.add, shifted, codes))
@@ -605,8 +605,6 @@ def lattice_polymorphisms(
     if n == 0 or n > 5:
         return None
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rel_rows = [sorted(rel) for rel in b.relations]
-    arities = [ar for _, ar in b.signature.symbols]
     for assign in itertools.product((1, 2, 0), repeat=len(pairs)):
         leq = [[i == j for j in range(n)] for i in range(n)]
         for (i, j), a in zip(pairs, assign):
@@ -619,15 +617,12 @@ def lattice_polymorphisms(
         tables = _lattice_tables(leq, n)
         if tables is None:
             continue
-        join, meet = tables
-        if _binary_polymorphism(join, rel_rows, arities) and \
-                _binary_polymorphism(meet, rel_rows, arities):
-            values_j = tuple(join[i][j] for i in range(n) for j in range(n))
-            values_m = tuple(meet[i][j] for i in range(n) for j in range(n))
-            return (
-                OperationTable(arity=2, size=n, values=values_j),
-                OperationTable(arity=2, size=n, values=values_m),
-            )
+        join, meet = [OperationTable(arity=2, size=n, values=values)
+                      for values in tables]
+        # uncapped: classify expects no CapExceeded from this search
+        if join.is_polymorphism_of(b, stream_cap=math.inf) and \
+                meet.is_polymorphism_of(b, stream_cap=math.inf):
+            return join, meet
     return None
 
 
@@ -642,28 +637,16 @@ def _transitive(leq, n) -> bool:
 
 
 def _lattice_tables(leq, n):
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            ub = [z for z in range(n) if leq[i][z] and leq[j][z]]
-            least = [z for z in ub if all(leq[z][w] for w in ub)]
-            if len(least) != 1:
-                return None
-            join[i][j] = least[0]
-            lb = [z for z in range(n) if leq[z][i] and leq[z][j]]
-            greatest = [z for z in lb if all(leq[w][z] for w in lb)]
-            if len(greatest) != 1:
-                return None
-            meet[i][j] = greatest[0]
-    return join, meet
-
-
-def _binary_polymorphism(table, rel_rows, arities) -> bool:
-    for rows, ar in zip(rel_rows, arities):
-        rel = set(rows)
-        for t in rows:
-            for u in rows:
-                if tuple(table[t[i]][u[i]] for i in range(ar)) not in rel:
-                    return False
-    return True
+    """Join and meet of the partial order leq as flat value tables, or None
+    unless it is a lattice: the join of i and j is the element whose up-set
+    is the intersection of theirs, and the meet dually with down-sets."""
+    tables = []
+    for up in (True, False):
+        cone = [sum([1 << z for z in range(n)
+                     if (leq[i][z] if up else leq[z][i])]) for i in range(n)]
+        apex = {c: z for z, c in enumerate(cone)}
+        values = tuple([apex.get(c & d) for c in cone for d in cone])
+        if None in values:
+            return None
+        tables.append(values)
+    return tables

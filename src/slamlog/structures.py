@@ -30,12 +30,9 @@ class Partition:
 
     def find(self, i: int) -> int:
         parent = self._parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]  # path halving
+        return i
 
     def union(self, i: int, j: int) -> bool:
         ri, rj = self.find(i), self.find(j)
@@ -297,40 +294,17 @@ class ShapeFlags:
     girth: int | None
 
 
-def _bfs_farthest(adj, start):
-    """Return (farthest node, parent map) breaking ties towards small ids."""
-    dist = {start: 0}
+def _bfs(adj, start, removed=None) -> dict[int, int]:
+    """The parent of each node reachable from start without passing through
+    `removed`, in BFS order; start's parent is -1."""
     parent = {start: -1}
-    queue = deque([start])
-    best = start
-    while queue:
-        u = queue.popleft()
-        if dist[u] > dist[best] or (dist[u] == dist[best] and u < best):
-            best = u
+    order = [start]
+    for u in order:
         for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
+            if v != removed and v not in parent:
                 parent[v] = u
-                queue.append(v)
-    return best, parent
-
-
-def _components(adj, n):
-    seen = [False] * n
-    comps = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        comps += 1
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-    return comps
+                order.append(v)
+    return parent
 
 
 def _graph_girth(adj, n) -> int | None:
@@ -357,15 +331,20 @@ def _graph_girth(adj, n) -> int | None:
 
 
 def longest_path(ig: IncidenceGraph) -> list[int]:
-    """A diameter path of a tree-shaped incidence graph (node ids)."""
-    n = ig.node_count()
-    if n == 0:
+    """A diameter path of a tree-shaped incidence graph (node ids): from
+    the node farthest from node 0 to the node farthest from it, each the
+    smallest id among the deepest."""
+    if ig.node_count() == 0:
         return []
-    u, _ = _bfs_farthest(ig.adjacency, 0)
-    w, parent = _bfs_farthest(ig.adjacency, u)
-    path = [w]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
+    path = [0]
+    for _ in range(2):
+        parent = _bfs(ig.adjacency, path[0])
+        depth = {-1: -1}
+        for v, u in parent.items():
+            depth[v] = depth[u] + 1
+        path = [max(parent, key=lambda v: (depth[v], -v))]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
     return path[::-1]
 
 
@@ -394,9 +373,11 @@ def shape_of(s: Structure) -> ShapeFlags:
         len(set(t)) == len(t) for _, _, rel in s.relation_items() for t in rel
     )
     edge_count = sum(len(a) for a in ig.adjacency) // 2
-    comps = _components(ig.adjacency, n)
-    forest = edge_count == n - comps
-    connected = comps <= 1
+    part = Partition(n)
+    merged = sum([part.union(u, v) for u, nbrs in enumerate(ig.adjacency)
+                  for v in nbrs if u < v])
+    forest = edge_count == merged
+    connected = n - merged <= 1
     gen_tree = connected and forest
     girth = None if forest else _graph_girth(ig.adjacency, n)
     gen_cat = False
@@ -415,18 +396,6 @@ def shape_of(s: Structure) -> ShapeFlags:
 # ---------------------------------------------------------------------------
 # Unfolding
 # ---------------------------------------------------------------------------
-
-def _reachable_without(ig: IncidenceGraph, start: int, removed: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in ig.adjacency[u]:
-            if v != removed and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
 
 def unfold(t: Structure, a: int, b: int) -> Structure:
     """(a,b)-unfolding of an injective tree.
@@ -449,8 +418,8 @@ def unfold(t: Structure, a: int, b: int) -> Structure:
         if ig.degree(x) == 1:
             raise UnfoldError(f"element {x} is a leaf")
 
-    from_b = _reachable_without(ig, b, a)  # nodes reaching b while avoiding a
-    from_a = _reachable_without(ig, a, b)
+    from_b = _bfs(ig.adjacency, b, a)  # nodes reaching b while avoiding a
+    from_a = _bfs(ig.adjacency, a, b)
     phi_a, phi_b, psi = [], [], []
     for k, (sym, tup) in enumerate(ig.tuple_nodes):
         node = ig.element_count + k

@@ -472,6 +472,59 @@ def test_every_small_digraph_verdict_holds_on_its_own_programs():
     assert failing == {"am": 11, "lam": 11, "slam": 12}
 
 
+def test_every_two_element_unary_binary_verdict_holds_on_its_own_programs():
+    """The same check on the 36 templates over U/1 and E/2 with two
+    elements, up to isomorphism."""
+    templates = [b for b in (build() for build, *_ in
+                             _sweep_instances(MIXED, 2)) if b.size == 2]
+    assert len(templates) == 36
+    failing = Counter()
+    for b in templates:
+        verdicts = classify(b).verdicts
+        value = {key: verdicts[key].value
+                 for key in ("tree_duality", "caterpillar_lam", "slam")}
+        assert "inconclusive" not in value.values(), b
+        if value["slam"] == "yes":
+            assert value["caterpillar_lam"] == "yes", b
+        if value["caterpillar_lam"] == "yes":
+            assert value["tree_duality"] == "yes", b
+        for key, kind, size_cap in (("tree_duality", "am", 2),
+                                    ("caterpillar_lam", "lam", 3),
+                                    ("slam", "slam", 3)):
+            rep = verify_program_solves(canonical_program(b, kind), b,
+                                        size_cap)
+            if not rep.holds:
+                assert value[key] == "no", (b, kind)
+                failing[kind] += 1
+    assert failing == {"am": 3, "lam": 3, "slam": 4}
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 3), (1, 0), (1, 2), (1, 3), (2, 0)],
+    [(0, 2), (0, 3), (1, 0), (1, 3), (2, 3)],
+])
+def test_lam_programs_of_two_undecided_four_vertex_cores_pass_size_4(edges):
+    # two loopless cores whose caterpillar verdict ends inconclusive at
+    # (k0, n0); their verdicts are left unpinned, the sweep is not
+    b = digraph(4, edges)
+    rep = verify_program_solves(canonical_program(b, "lam"), b, 4)
+    assert rep.holds
+    assert rep.checked == 4627 and rep.classes == 335
+
+
+def test_classify_refuses_an_empty_template(monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran on the empty template")
+    monkeypatch.setattr("slamlog.classify.totally_symmetric_check", no_check)
+    empty = make_structure("Empty", (("E", 2),), 0, {})
+    with pytest.raises(ValueError, match="^template Empty has an empty "
+                                         "domain$"):
+        classify(empty)
+    with pytest.raises(ValueError, match="^template Empty has an empty "
+                                         "domain$"):
+        emit_slam(empty)
+
+
 def test_sweep_over_the_stream_cap_raises_before_sweeping():
     with pytest.raises(CapExceeded, match="size 6 has 2\\^30"):
         verify_duality_pair([path(3)], path(2), 6)

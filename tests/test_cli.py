@@ -55,6 +55,17 @@ def test_solve_exit_codes(files, capsys):
     assert "slam verdict is no" in capsys.readouterr().err
 
 
+def test_classify_and_solve_refuse_an_empty_template(files, capsys):
+    empty = files["dir"] / "empty.txt"
+    empty.write_text(render_structure(make_structure("Empty", (("E", 2),),
+                                                     0, {})))
+    for argv in (["classify", str(empty)], ["solve", str(empty),
+                                            files["edge"]]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            "error: template Empty has an empty domain\n"
+
+
 def test_solve_search_engine_handles_non_slam_templates(files, capsys):
     assert main(["solve", files["t3"], files["c3"], "--engine", "search"]) == 1
     assert main(["solve", files["t3"], files["edge"], "--engine", "search"]) == 0

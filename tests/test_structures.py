@@ -11,6 +11,7 @@ from slamlog.fixtures import (
     UNFOLD_B,
     b_n,
     caterpillar_example,
+    digraph,
     directed_cycle,
     horn_sat,
     non_caterpillar_example,
@@ -220,6 +221,14 @@ def test_longest_path_spans_a_path_structure():
     assert len(walk) == 7
     adj, _ = _adjacency(ig)
     assert all(b in adj[a] for a, b in zip(walk, walk[1:]))
+
+
+def test_longest_path_breaks_both_ties_towards_small_ids():
+    # incidence nodes: elements 0-3, then E(0,3)=4, E(2,3)=5, E(3,1)=6.
+    # From node 0 the deepest are 2 and 1 (BFS meets 2 first); from 1 they
+    # are 0 and 2.  Each other tie rule, or the path reversed, differs.
+    ig = incidence_graph(digraph(4, [(0, 3), (2, 3), (3, 1)]))
+    assert longest_path(ig) == [1, 6, 3, 4, 0]
 
 
 # --- unfolding ----------------------------------------------------------------
