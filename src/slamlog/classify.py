@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .datalog import Program, canonical_program, evaluate
-from .homsolver import HomSearcher, core_of, find_homomorphism, is_core
+from .homsolver import HomSearcher, core_of, find_homomorphism
 from .polymorph import (
     DEFAULT_DENSE_CAP,
     DEFAULT_STREAM_CAP,
@@ -213,8 +213,8 @@ def _caterpillar(b: Structure, caps: Caps, tree: str, k0: int, n0: int):
             "kind": "lattice",
             "join": _table_json(join), "meet": _table_json(meet),
         }
-    if b.size <= 7 and not is_core(b):
-        core, retraction = core_of(b)
+    core, retraction = core_of(b) if b.size <= 7 else (b, None)
+    if core.size < b.size:
         lat = lattice_polymorphisms(core)
         if lat is not None:
             join, meet = lat

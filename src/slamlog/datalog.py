@@ -567,18 +567,11 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
         while state is not None:
             ref, t, body = provenance[state]
             rule_idx = _rule_index(ref, 0 if state == GOAL_FACT else state[0])
-            # a rule's variables in order of first occurrence, each at its
-            # position in the EDB atom (in the IDB atom of goal :- P(x))
-            rule = p.rules[rule_idx]
-            value = dict(zip(next((atom.args for atom in rule.body
-                                   if atom.pred in p.signature),
-                                  rule.body[0].args), t))
-            bindings = tuple([(v, value[v]) for v in dict.fromkeys(
-                [v for atom in (rule.head, *rule.body) for v in atom.args])])
             fact = state if state == GOAL_FACT else \
                 (names[state[0]], state[1:])
             steps.append(DerivationStep(fact=fact, rule_index=rule_idx,
-                                        bindings=bindings))
+                                        bindings=_bindings(p.rules[rule_idx],
+                                                           p.signature, t)))
             state = body
         trace = Derivation(program=p, steps=tuple(reversed(steps)))
     return EvalResult(facts=facts, goal=goal, trace=trace)
@@ -664,6 +657,21 @@ def _bind(env: dict, args: tuple, t: tuple) -> dict | None:
         if env.setdefault(v, x) != x:
             return None
     return env
+
+
+def _row_args(rule: Rule, sig: Signature) -> tuple[str, ...]:
+    """The variables of rule's EDB atom; those of its IDB atom in goal :-
+    P(x), whose rows are the elements."""
+    return next((atom.args for atom in rule.body if atom.pred in sig),
+                rule.body[0].args)
+
+
+def _bindings(rule: Rule, sig: Signature, row: tuple) -> tuple:
+    """rule's variables in order of first occurrence, each bound to its entry
+    of row at its position in _row_args."""
+    value = dict(zip(_row_args(rule, sig), row))
+    return tuple([(v, value[v]) for v in dict.fromkeys(
+        [v for atom in (rule.head, *rule.body) for v in atom.args])])
 
 
 # ---------------------------------------------------------------------------
@@ -931,183 +939,115 @@ def canonical_program(b: Structure, fragment: str) -> Program:
 # Symmetrization repair
 # ---------------------------------------------------------------------------
 
-def _step_pieces(rule: Rule, sig: Signature):
-    edb, idb = _body_split(rule, sig)
-    if len(edb) > 1 or len(idb) > 1:
-        raise RepairFailed(f"rule {rule.render()!r} is not linear arc")
-    if idb and len(idb[0].args) != 1:
-        raise RepairFailed(f"rule {rule.render()!r} has a non-monadic IDB")
-    return (edb[0] if edb else None), (idb[0] if idb else None)
+def _step(rule: Rule, b: Structure):
+    """rule as (relation, x, y, t, s): its EDB relation (None in goal :-
+    P(x)), the positions in _row_args of its IDB body atom and of its head,
+    and the masks of their subsets; x and t are None without an IDB body
+    atom, y is None and s 0 for goal.  RepairFailed unless rule is linear
+    arc monadic over subset IDBs and valid on b: no row u with u[x] in t
+    has u[y] outside s."""
+    edb, idb = _body_split(rule, b.signature)
+    goal = rule.head.pred == GOAL
+    if len(edb) > 1 or len(idb) > 1 or not (edb or goal):
+        raise RepairFailed(f"rule {rule.render()!r} is not linear arc "
+                           "over an EDB atom")
+    args = _row_args(rule, b.signature)
+    if len(set(args)) < len(args):
+        raise RepairFailed(f"rule {rule.render()!r} repeats a variable in "
+                           f"{(edb or idb)[0].render()!r}")
 
+    def place(atom):
+        sub = name_subset(atom.pred)
+        if sub is None or not sub <= set(range(b.size)) or \
+                len(atom.args) != 1 or atom.args[0] not in args:
+            raise RepairFailed(f"{atom.render()!r} in {rule.render()!r} is "
+                               "not a subset IDB on its EDB atom")
+        return args.index(atom.args[0]), sum([1 << e for e in sub])
 
-def _head_subset(rule: Rule, size: int) -> frozenset[int]:
-    s = name_subset(rule.head.pred)
-    if s is None or any(e >= size for e in s) or len(rule.head.args) != 1:
-        raise RepairFailed(f"head {rule.head.pred!r} is not a subset IDB")
-    return s
-
-
-def _check_valid(rule: Rule, b: Structure) -> None:
-    """The input rules must be valid implications for the template."""
-    edb, idb = _step_pieces(rule, b.signature)
-    head = rule.head
-    if head.pred == GOAL:
-        if edb is None:
-            t = name_subset(idb.pred)
-            if t is None or t:
-                raise RepairFailed(f"invalid goal rule {rule.render()!r}")
-            return
-        rows = b.rel(edb.pred)
-        if idb is None:
-            if rows:
-                raise RepairFailed(f"invalid goal rule {rule.render()!r}")
-            return
-        t = name_subset(idb.pred)
-        x = edb.args.index(idb.args[0])
-        if any(u[x] in t for u in rows):
-            raise RepairFailed(f"invalid goal rule {rule.render()!r}")
-        return
-    s = _head_subset(rule, b.size)
-    if edb is None or head.args[0] not in edb.args:
-        raise RepairFailed(f"rule {rule.render()!r} is not connected")
-    rows = b.rel(edb.pred)
-    y = edb.args.index(head.args[0])
-    if idb is None:
-        if not all(u[y] in s for u in rows):
-            raise RepairFailed(f"invalid rule {rule.render()!r}")
-        return
-    t = name_subset(idb.pred)
-    if t is None or idb.args[0] not in edb.args:
-        raise RepairFailed(f"rule {rule.render()!r} is not connected")
-    x = edb.args.index(idb.args[0])
-    if not all(u[y] in s for u in rows if u[x] in t):
+    x, t = place(idb[0]) if idb else (None, None)
+    y, s = (None, 0) if goal else place(rule.head)
+    rel = edb[0].pred if edb else None
+    rows = b.rel(rel) if edb else [(v,) for v in range(b.size)]
+    if any((x is None or t >> u[x] & 1) and (y is None or not s >> u[y] & 1)
+           for u in rows):
         raise RepairFailed(f"invalid rule {rule.render()!r}")
+    return rel, x, y, t, s
+
+
+def _lookup(slam: Program, step) -> int:
+    """The index of the rule of canonical_program(b, "slam") that _step
+    reads as step: the one run of its tables in `initial` (no IDB body atom)
+    or users[t] with step's relation, key and head, whose heads hold s."""
+    rel, x, y, t, s = step
+    initial, users = _compiled(slam)[:2]
+    keys = () if x is None else ((rel, x),)
+    refs = [ref for r, k, runs in (initial if x is None else users[t])
+            if r == rel and k == keys
+            for head, _, heads, ref in runs if head == y and heads >> s & 1]
+    if len(refs) != 1:
+        raise RepairFailed(f"no rule (relation, x, y, t, s) = {step} in the "
+                           "canonical slam program")
+    return _rule_index(refs[0], s)
 
 
 def repair_to_symmetric(d: Derivation, slam: Program) -> Derivation:
     """Rebuild a linear goal derivation with rules of `slam`, which must be
     canonical_program(b, "slam") of the template b, built once per caller.
 
-    The step relations are extracted from the used rules, the initial sets
-    are shrunk to the reachable minimum, and the whole chain is closed under
-    forward images and backward preimages.  The closure makes every middle
-    rule symmetric; RepairFailed signals that the final goal rule became
-    invalid, which cannot happen for templates with a quasi Maltsev
-    polymorphism.
+    Each step's rule is read as (relation, positions, subsets) by _step.
+    The initial set is shrunk to the reachable minimum, and the whole chain
+    is closed under forward images and backward preimages.  The closure
+    makes every middle rule symmetric.  Each repaired rule is looked up in
+    slam's worklist tables, and its step binds that rule's own variables to
+    the EDB row of the step it replaces.  RepairFailed signals that the
+    final goal rule became invalid, so that slam lacks it, which cannot
+    happen for templates with a quasi Maltsev polymorphism.
     """
     if slam.origin is None or slam.origin[1] != "slam":
         raise ValueError("repair needs a program built by "
                          "canonical_program(b, 'slam')")
     b = slam.origin[0]
+    sig = b.signature
     if not d.steps or d.steps[-1].fact != GOAL_FACT:
         raise RepairFailed("derivation does not end in the goal")
-    sig = b.signature
-    for step in d.steps:
-        _check_valid(d.program.rules[step.rule_index], b)
-
-    goal_step = d.steps[-1]
-    goal_rule = d.program.rules[goal_step.rule_index]
-    goal_edb, goal_idb = _step_pieces(goal_rule, sig)
-
-    def locate(rule: Rule) -> int:
-        """The index of the last slam rule equal to rule up to renaming."""
-        key = canonical_rule_key(rule)
-        for i in reversed(range(len(slam.rules))):
-            other = slam.rules[i]
-            if other.head.pred == rule.head.pred and \
-                    canonical_rule_key(other) == key:
-                return i
-        raise RepairFailed(f"rule {rule.render()!r} missing from the "
-                           "canonical slam program")
-
-    if goal_idb is None:
-        # empty-relation goal rule, already symmetric
-        if len(d.steps) != 1:
-            raise RepairFailed("goal rule uses no IDB but the chain is longer")
-        step = DerivationStep(fact=GOAL_FACT, rule_index=locate(goal_rule),
-                              bindings=goal_step.bindings)
-        return Derivation(program=slam, steps=(step,))
-
-    chain = d.steps[:-1]
-    if not chain:
-        raise RepairFailed("goal rule consumes a fact that was never derived")
-
-    base_rule = d.program.rules[chain[0].rule_index]
-    base_edb, base_idb = _step_pieces(base_rule, sig)
-    if base_idb is not None or base_edb is None:
-        raise RepairFailed("chain does not start at an EDB-only rule")
-    y = base_edb.args.index(base_rule.head.args[0])
-    current = frozenset(t[y] for t in b.rel(base_edb.pred))
-    sets = [current]
-
-    arrows = []
-    for pos, step in enumerate(chain[1:], start=1):
-        rule = d.program.rules[step.rule_index]
-        edb, idb = _step_pieces(rule, sig)
-        if edb is None or idb is None:
-            raise RepairFailed("middle step is missing an EDB or IDB atom")
-        prev = chain[pos - 1]
-        env = dict(step.bindings)
-        if (idb.pred, (env[idb.args[0]],)) != prev.fact:
+    rules = [d.program.rules[step.rule_index] for step in d.steps]
+    pieces = [_step(rule, b) for rule in rules]
+    try:
+        rows = [tuple([dict(step.bindings)[v] for v in _row_args(rule, sig)])
+                for step, rule in zip(d.steps, rules)]
+    except KeyError as e:
+        raise RepairFailed(f"a step does not bind {e}") from None
+    # one EDB-only step, then steps that consume the previous head, and goal
+    last = len(pieces) - 1
+    sets, arrows = [], []
+    for i, (rel, x, y, t, _) in enumerate(pieces):
+        if (x is None) != (i == 0) or (y is None) != (i == last):
+            raise RepairFailed("steps do not run from an EDB-only rule "
+                               "to the goal")
+        if i and (t, rows[i][x]) != (pieces[i - 1][4],
+                                     rows[i - 1][pieces[i - 1][2]]):
             raise RepairFailed("chain steps do not link up")
-        x = edb.args.index(idb.args[0])
-        yy = edb.args.index(rule.head.args[0])
-        rows = b.rel(edb.pred)
-        arrow = frozenset((t[x], t[yy]) for t in rows)
-        arrows.append(arrow)
-        current = frozenset(v for u, v in arrow if u in current)
-        sets.append(current)
-
-    qsets = [set(s) for s in sets]
-    changed = True
-    while changed:
-        changed = False
-        for i, arrow in enumerate(arrows):
-            fwd = {v for u, v in arrow if u in qsets[i]}
-            if not fwd <= qsets[i + 1]:
-                qsets[i + 1] |= fwd
-                changed = True
-            back = {u for u, v in arrow if v in qsets[i + 1]}
-            if not back <= qsets[i]:
-                qsets[i] |= back
-                changed = True
-
-    env = dict(goal_step.bindings)
-    if (goal_idb.pred, (env[goal_idb.args[0]],)) != chain[-1].fact:
-        raise RepairFailed("goal step does not consume the chain's last fact")
-    if goal_edb is None:
-        blocked = frozenset(range(b.size))
-    else:
-        x = goal_edb.args.index(goal_idb.args[0])
-        blocked = frozenset(t[x] for t in b.rel(goal_edb.pred))
-    if qsets[-1] & blocked:
-        raise RepairFailed(
-            f"repaired goal rule invalid: {sorted(qsets[-1] & blocked)} "
-            "still allowed by the template"
-        )
-
-    new_steps = []
-    for i, step in enumerate(chain):
-        rule = d.program.rules[step.rule_index]
-        edb, idb = _step_pieces(rule, sig)
-        head = Atom(subset_name(qsets[i]), rule.head.args)
-        if idb is None:
-            new_rule = Rule(head=head, body=(edb,))
+        if y is None:
+            break
+        if x is None:
+            sets.append({u[y] for u in b.rel(rel)})
         else:
-            new_rule = Rule(head=head, body=(
-                edb, Atom(subset_name(qsets[i - 1]), idb.args)))
-        env = dict(step.bindings)
-        fact = (subset_name(qsets[i]), (env[rule.head.args[0]],))
-        new_steps.append(DerivationStep(
-            fact=fact, rule_index=locate(new_rule), bindings=step.bindings))
+            arrows.append({(u[x], u[y]) for u in b.rel(rel)})
+            sets.append({v for u, v in arrows[-1] if u in sets[-1]})
 
-    if goal_edb is None:
-        new_goal = Rule(head=Atom(GOAL, ()),
-                        body=(Atom(subset_name(qsets[-1]), goal_idb.args),))
-    else:
-        new_goal = Rule(head=Atom(GOAL, ()), body=(
-            goal_edb, Atom(subset_name(qsets[-1]), goal_idb.args)))
-    new_steps.append(DerivationStep(
-        fact=GOAL_FACT, rule_index=locate(new_goal),
-        bindings=goal_step.bindings))
-    return Derivation(program=slam, steps=tuple(new_steps))
+    total = None         # the sets only grow, so their total size tells
+    while total != (total := sum(map(len, sets))):
+        for i, arrow in enumerate(arrows):
+            sets[i + 1] |= {v for u, v in arrow if u in sets[i]}
+            sets[i] |= {u for u, v in arrow if v in sets[i + 1]}
+
+    masks = [sum([1 << e for e in q]) for q in sets] + [0]
+    names = _compiled(slam)[3]
+    steps = []
+    for i, ((rel, x, y, _, _), row) in enumerate(zip(pieces, rows)):
+        index = _lookup(slam, (rel, x, y, None if x is None else masks[i - 1],
+                               masks[i]))
+        fact = GOAL_FACT if y is None else (names[masks[i]], (row[y],))
+        steps.append(DerivationStep(fact=fact, rule_index=index, bindings=
+                                    _bindings(slam.rules[index], sig, row)))
+    return Derivation(program=slam, steps=tuple(steps))

@@ -61,6 +61,12 @@ def _rule_by_text(program, text):
     raise AssertionError(f"rule not found: {text}")
 
 
+def _rule_by_key(program):
+    """canonical_rule_key -> the index of the last rule with that key, the
+    scan that repair_to_symmetric once made for every repaired rule."""
+    return {canonical_rule_key(rule): i for i, rule in enumerate(program.rules)}
+
+
 # --- parsing and rendering -----------------------------------------------------
 
 def test_parse_render_round_trip():
@@ -739,6 +745,56 @@ def test_repair_needs_the_canonical_slam_program():
             repair_to_symmetric(r.trace, other)
     assert repair_to_symmetric(r.trace, copy.copy(slam)).steps == \
         repair_to_symmetric(r.trace, slam).steps
+
+
+def test_repair_looks_up_every_slam_rule_in_the_tables():
+    for b in (path(2), path(3), path(4), transitive_tournament(3), b_n(2),
+              weak_rules_template()):
+        slam = canonical_program(b, "slam")
+        by_key = _rule_by_key(slam)
+        assert len(by_key) == len(slam.rules), b.name
+        for i, rule in enumerate(slam.rules):
+            # _lookup raises unless exactly one run matches
+            assert datalog._lookup(slam, datalog._step(rule, b)) == i == \
+                by_key[canonical_rule_key(rule)], (b.name, rule.render())
+
+
+def test_repaired_steps_bind_the_slam_rules_own_variables():
+    p3 = path(3)
+    p = parse_program("P{1_2}(y) :- E(x,y).\n"
+                      "P{2}(y) :- E(x,y), P{1_2}(x).\n"
+                      "goal :- E(y,z), P{2}(y).\n", signature=p3.signature)
+    a = path(4)
+    r = evaluate(p, a, stop_at_goal=True)
+    assert r.goal
+    slam = canonical_program(p3, "slam")
+    rep = repair_to_symmetric(r.trace, slam)
+    assert len(rep.steps) == len(r.trace.steps) == 3
+    previous = None
+    for step in rep.steps:
+        rule = slam.rules[step.rule_index]
+        env = dict(step.bindings)
+        assert set(env) == {v for atom in rule.body for v in atom.args}
+        edb = [atom for atom in rule.body if atom.pred == "E"]
+        idb = [atom for atom in rule.body if atom.pred != "E"]
+        assert [tuple(env[v] for v in atom.args) in a.rel("E")
+                for atom in edb] == [True]
+        assert step.fact == (rule.head.pred,
+                             tuple(env[v] for v in rule.head.args))
+        assert [(atom.pred, (env[atom.args[0]],)) for atom in idb] == \
+            ([previous] if previous else [])
+        previous = step.fact
+    assert rep.steps[0].bindings == (("x2", 1), ("x1", 0))
+
+
+def test_repair_refuses_a_rule_that_repeats_a_variable():
+    p = parse_program("P{0_1}(x) :- E(x,x).\n"
+                      "goal :- E(x,y), P{0_1}(x).\n", signature=DIGRAPH_SIG)
+    loop = make_structure("A", (("E", 2),), 1, {"E": {(0, 0)}})
+    r = evaluate(p, loop, stop_at_goal=True)
+    assert r.goal and len(r.trace.steps) == 2
+    with pytest.raises(RepairFailed, match="repeats a variable in 'E\\(x,x\\)'"):
+        repair_to_symmetric(r.trace, canonical_program(path(2), "slam"))
 
 
 def test_derivation_to_json_shape():

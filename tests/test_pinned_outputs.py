@@ -1,15 +1,15 @@
 """SHA-256 of outputs that a change keeps byte-identical unless it says
 otherwise: the timing-free classify report and the canonical programs of
-the paper's seven fixtures, and the reports of the benchmark's three
-size-4 duality sweeps.  A change that alters one of them updates its hash
+the paper's seven fixtures, the reports of the benchmark's three size-4
+duality sweeps, and the repairs of small lam refutations.  A change that alters one of them updates its hash
 here and names the change in CHANGES.md."""
 
 from __future__ import annotations
 
 import hashlib
 
-from slamlog.classify import classify, verify_duality_pair
-from slamlog.datalog import canonical_program
+from slamlog.classify import classify, enumerate_instances, verify_duality_pair
+from slamlog.datalog import canonical_program, evaluate, repair_to_symmetric
 from slamlog.fixtures import (
     b_n,
     directed_cycle,
@@ -17,7 +17,10 @@ from slamlog.fixtures import (
     path,
     st_con,
     transitive_tournament,
+    weak_rules_instance,
+    weak_rules_template,
 )
+from slamlog.structures import Signature
 
 FIXTURES = {
     "P2": path(2),
@@ -96,6 +99,10 @@ SWEEPS = {
         "2762dd4ad9e6b335cea5011ee42019d122f5001752e2cd5c949af1512d392948",
 }
 
+# (fact, rule index, bindings) of every repaired step of the lam(P2) and
+# lam(P3) refutations of the digraphs of 1-3 vertices and the WeakRules chain
+REPAIRS = "6a938f225e54a357e1fcfd787236e33ba0e6998b395ec18180f86e583010b19f"
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -118,3 +125,21 @@ def test_benchmark_sweep_reports_are_pinned():
              "[P4] P2": (p4, p2)}
     assert {name: _sha(verify_duality_pair([obstruction], b, 4).to_json())
             for name, (obstruction, b) in pairs.items()} == SWEEPS
+
+
+def test_repairs_of_small_lam_refutations_are_pinned():
+    sig = Signature((("E", 2),))
+    jobs = [(path(k), [a for n in (1, 2, 3)
+                       for a in enumerate_instances(sig, n)]) for k in (2, 3)]
+    jobs.append((weak_rules_template(), [weak_rules_instance()]))
+    lines = []
+    for b, instances in jobs:
+        lam = canonical_program(b, "lam")
+        slam = canonical_program(b, "slam")
+        for a in instances:
+            r = evaluate(lam, a, stop_at_goal=True)
+            if r.goal:
+                lines.append(repr([(s.fact, s.rule_index, s.bindings) for s in
+                                   repair_to_symmetric(r.trace, slam).steps]))
+    assert len(lines) == 1021
+    assert _sha("\n".join(lines)) == REPAIRS
