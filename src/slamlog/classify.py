@@ -223,39 +223,28 @@ def _caterpillar(b: Structure, caps: Caps, tree: str, k0: int, n0: int):
                 "retraction": list(retraction),
                 "join": _table_json(join), "meet": _table_json(meet),
             }
-    try:
-        res = absorptive_check(b, k0, n0, stream_cap=caps.stream_cap)
-        if res.status == "yes":
-            return Verdict(
-                "yes", f"absorptive polymorphism at (k0, n0) = "
-                       f"({k0}, {n0})"), \
-                {"kind": "absorptive", **_absorptive_witness(res)}
-        return Verdict(
-            "no", f"no absorptive polymorphism at (k0, n0) = "
-                  f"({k0}, {n0})"), \
-            {"kind": "absorptive_fail", "k": k0, "n": n0,
-             "strategy": res.strategy}
-    except CapExceeded:
-        pass
-    checked = []
-    skipped = []
-    for k, n in _sweep_pairs(caps):
+    # (k0, n0) decides either way; the smaller pairs after it only refute
+    checked, skipped = [], []
+    for i, (k, n) in enumerate([(k0, n0), *_sweep_pairs(caps)]):
         try:
             res = absorptive_check(b, k, n, stream_cap=caps.stream_cap)
         except CapExceeded:
             skipped.append([k, n])
             continue
+        at = f"{'(k, n)' if i else '(k0, n0)'} = ({k}, {n})"
         if res.status == "no":
-            return Verdict(
-                "no", f"no absorptive polymorphism at (k, n) = "
-                      f"({k}, {n})"), \
+            return Verdict("no", f"no absorptive polymorphism at {at}"), \
                 {"kind": "absorptive_fail", "k": k, "n": n,
                  "strategy": res.strategy}
+        if not i:
+            return Verdict("yes", f"absorptive polymorphism at {at}"), \
+                {"kind": "absorptive", **_absorptive_witness(res)}
         checked.append([k, n])
+    # only a capped (k0, n0) gets here, and it is skipped[0]
     return Verdict(
         "inconclusive",
         f"(k0, n0) = ({k0}, {n0}) out of reach; all checked pairs passed"), \
-        {"kind": "cap", "checked": checked, "skipped": skipped}
+        {"kind": "cap", "checked": checked, "skipped": skipped[1:]}
 
 
 def emit_slam(b: Structure, caps: Caps = Caps()) -> Program:

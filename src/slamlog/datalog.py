@@ -743,13 +743,10 @@ def _canonical_blocks(b: Structure, fragment: str):
     full = 1 << n
     top = full - 1      # the mask of every element
     # supersets[m] and subsets[m]: the subset masks that contain m and that
-    # m contains, as masks over subset masks
-    has = [sum([1 << s for s in range(full) if s >> e & 1]) for e in range(n)]
-    supersets = [(1 << full) - 1] * full
-    for m in range(1, full):
-        low = m & -m
-        supersets[m] = supersets[m ^ low] & has[low.bit_length() - 1]
+    # m contains, as masks over subset masks; m's supersets are m joined
+    # with the subsets of its complement
     subsets = _subset_masks(n)
+    supersets = [subsets[top ^ m] << m for m in range(full)]
     relations = [(sym, r, sorted(rel)) for sym, r, rel in b.relation_items()]
     linear = fragment != "am"
 

@@ -11,11 +11,11 @@ are linked by a homomorphism adjunction.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
 from .homsolver import SignatureMismatch, enumerate_homomorphisms
+from .polymorph import _tuple_code
 from .structures import (
     ConjunctiveQuery,
     Partition,
@@ -205,13 +205,6 @@ def pp_power(b: Structure, spec: PPPowerSpec) -> Structure:
         raise SignatureMismatch("structure does not match the source signature")
     d = spec.dimension
     size = b.size ** d
-
-    def code(values):
-        c = 0
-        for v in values:
-            c = c * b.size + v
-        return c
-
     relations = []
     for sym, arity in spec.target.symbols:
         q = spec.query(sym)
@@ -220,7 +213,8 @@ def pp_power(b: Structure, spec: PPPowerSpec) -> Structure:
         for hom in enumerate_homomorphisms(db, b):
             assignment = {v: hom[var_map[v]] for v in q.free}
             rows.add(tuple(
-                code(assignment[f"x{j * d + i + 1}"] for i in range(d))
+                _tuple_code([assignment[f"x{j * d + i + 1}"]
+                             for i in range(d)], b.size)
                 for j in range(arity)
             ))
         relations.append(frozenset(rows))

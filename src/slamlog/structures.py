@@ -7,8 +7,6 @@ integers 0..n-1.  Named elements exist only in the text file format.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -21,7 +19,7 @@ class UnfoldError(ValueError):
 
 
 class Partition:
-    """Disjoint-set partition of 0..size-1 with union by size."""
+    """Disjoint-set partition of 0..size-1 with union by rank."""
 
     def __init__(self, size: int):
         self.size = size
@@ -45,21 +43,13 @@ class Partition:
             self._rank[ri] += 1
         return True
 
-    def classes(self) -> list[list[int]]:
-        """All classes, each sorted, ordered by smallest member."""
-        by_root: dict[int, list[int]] = {}
-        for i in range(self.size):
-            by_root.setdefault(self.find(i), []).append(i)
-        return sorted(by_root.values(), key=lambda c: c[0])
-
     def class_index_map(self) -> tuple[list[int], int]:
-        """Map each index to a dense class id (smallest-member order)."""
-        classes = self.classes()
-        out = [0] * self.size
-        for ci, members in enumerate(classes):
-            for m in members:
-                out[m] = ci
-        return out, len(classes)
+        """Map each index to a dense class id (smallest-member order): an
+        ascending pass meets each root first at its class's smallest
+        member."""
+        ids: dict[int, int] = {}
+        out = [ids.setdefault(self.find(i), len(ids)) for i in range(self.size)]
+        return out, len(ids)
 
 
 @dataclass(frozen=True)
@@ -308,26 +298,18 @@ def _bfs(adj, start, removed=None) -> dict[int, int]:
 
 
 def _graph_girth(adj, n) -> int | None:
-    """Shortest cycle length of a simple undirected graph via per-node BFS."""
-    best: int | None = None
+    """Shortest cycle length of a simple undirected graph: the least
+    depth(u) + depth(v) + 1 over the non-tree edges uv of a BFS from each
+    node."""
+    cycles = []
     for src in range(n):
-        dist = {src: 0}
-        parent = {src: -1}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if best is not None and dist[u] * 2 >= best:
-                continue
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v:
-                    cand = dist[u] + dist[v] + 1
-                    if best is None or cand < best:
-                        best = cand
-    return best
+        parent = _bfs(adj, src)
+        depth = {-1: -1}
+        for v, u in parent.items():
+            depth[v] = depth[u] + 1
+        cycles += [depth[u] + depth[v] + 1 for u in parent for v in adj[u]
+                   if v != parent[u] and u != parent[v]]
+    return min(cycles, default=None)
 
 
 def longest_path(ig: IncidenceGraph) -> list[int]:
@@ -403,8 +385,7 @@ def unfold(t: Structure, a: int, b: int) -> Structure:
     The canonical query of t splits into the part separated from b by a,
     the part separated from a by b, and the middle part; the result is the
     canonical database of the middle part written three times, with the
-    copies glued along a, b', a', b.  Middle-copy variables are freshened
-    by suffix tagging before re-canonicalization.
+    copies glued along a, b', a', b.
     """
     shape = shape_of(t)
     if not shape.tree:
@@ -430,45 +411,17 @@ def unfold(t: Structure, a: int, b: int) -> Structure:
         else:
             psi.append((sym, tup))
 
-    def mapper(tag: str, a_name: str, b_name: str):
-        def rename(v: int) -> str:
-            if v == a:
-                return a_name
-            if v == b:
-                return b_name
-            return f"{tag}_{v}"
-
-        return rename
-
-    parts = [
-        (phi_a, mapper("p1", "a", "b")),
-        (psi, mapper("c1", "a", "b'")),
-        (psi, mapper("c2", "a'", "b'")),
-        (psi, mapper("c3", "a'", "b")),
-        (phi_b, mapper("p2", "a", "b")),
-    ]
-    atoms: list[tuple[str, tuple[str, ...]]] = []
-    seen_vars: list[str] = []
-    seen_set: set[str] = set()
-    for designated in ("a", "b", "a'", "b'"):
-        seen_vars.append(designated)
-        seen_set.add(designated)
-    for conjuncts, rename in parts:
+    # a, b, a', b' are elements 0-3; each copy's other elements follow in
+    # order of first appearance
+    index: dict[tuple[int, int], int] = {}
+    rows: dict[str, set[tuple[int, ...]]] = {}
+    copies = [(phi_a, 0, 1), (psi, 0, 3), (psi, 2, 3), (psi, 2, 1), (phi_b, 0, 1)]
+    for copy, (conjuncts, a_to, b_to) in enumerate(copies):
         for sym, tup in conjuncts:
-            args = tuple(rename(v) for v in tup)
-            atoms.append((sym, args))
-            for v in args:
-                if v not in seen_set:
-                    seen_set.add(v)
-                    seen_vars.append(v)
-    q = ConjunctiveQuery(
-        signature=t.signature,
-        free=("a", "b"),
-        bound=tuple(v for v in seen_vars if v not in ("a", "b")),
-        atoms=tuple(atoms),
-    )
-    out, _ = canonical_database(q)
-    return out
+            rows.setdefault(sym, set()).add(tuple(
+                a_to if v == a else b_to if v == b else
+                index.setdefault((copy, v), 4 + len(index)) for v in tup))
+    return make_structure("", t.signature.symbols, 4 + len(index), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -534,3 +534,31 @@ def test_sweep_over_the_stream_cap_raises_before_sweeping():
     # size 2 is within the cap: 1 + 2^1 + 2^8 instances
     assert verify_duality_pair([ternary], ternary, 2).checked == 259
 
+
+
+def test_caterpillar_refutes_at_k0_n0():
+    # every pair of the sweep passes up to (4, 4), but (k0, n0) refutes
+    b = make_structure("R3", (("U0", 1), ("U1", 1), ("R", 3)), 2, {
+        "U0": {(0,)}, "U1": {(1,)},
+        "R": {(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 1)}})
+    rep = classify(b)
+    assert (rep.k0, rep.n0) == (6, 6)
+    v = rep.verdicts["caterpillar_lam"]
+    assert v.value == "no"
+    assert v.detail == "no absorptive polymorphism at (k0, n0) = (6, 6)"
+    assert rep.witnesses["caterpillar_lam"] == {
+        "kind": "absorptive_fail", "k": 6, "n": 6, "strategy": "setsystem"}
+
+
+def test_caterpillar_sweep_names_the_pairs_it_checked_and_skipped():
+    rep = classify(horn_sat(), Caps(stream_cap=64))
+    v = rep.verdicts["caterpillar_lam"]
+    assert v.value == "inconclusive"
+    assert v.detail == \
+        "(k0, n0) = (6, 6) out of reach; all checked pairs passed"
+    witness = rep.witnesses["caterpillar_lam"]
+    assert witness["kind"] == "cap"
+    assert witness["checked"] == [[1, 1], [1, 2], [2, 1], [1, 3], [3, 1]]
+    assert len(witness["skipped"]) == 11
+    assert sorted(map(tuple, witness["checked"] + witness["skipped"])) == \
+        list(itertools.product(range(1, 5), repeat=2))

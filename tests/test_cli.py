@@ -14,6 +14,7 @@ from slamlog.fixtures import (
     path,
     transitive_tournament,
     unfolding_tree,
+    weak_rules_template,
 )
 from slamlog.structures import make_structure, parse_structure, render_structure
 
@@ -232,3 +233,45 @@ def test_internal_error_exits_2_not_1(files, capsys, monkeypatch):
     assert main(["solve", files["t3"], files["edge"], "--engine", "search"]) == 2
     err = capsys.readouterr().err
     assert err == "error: internal: RuntimeError: solver defect\n"
+
+
+def test_solve_ac_engine_json(files, capsys):
+    assert main(["solve", files["p2"], files["edge"], "--engine", "ac",
+                 "--json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["engine"] == "ac" and blob["satisfiable"] is True
+    assert blob["note"].startswith("arc consistency refutes")
+    assert main(["solve", files["p2"], files["p3"], "--engine", "ac",
+                 "--json"]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["satisfiable"] is False
+
+
+def test_classify_echoes_its_caps_and_names_the_swept_pairs(files, capsys):
+    weak = files["dir"] / "weak.txt"
+    weak.write_text(render_structure(weak_rules_template()))
+    assert main(["classify", str(weak), "--no-timing", "--cap-stream", "4096",
+                 "--max-kn", "2", "2"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["caps"]["stream_cap"] == 4096
+    assert (blob["caps"]["max_k"], blob["caps"]["max_n"]) == (2, 2)
+    assert blob["verdicts"]["caterpillar_lam"]["value"] == "inconclusive"
+    assert blob["witnesses"]["caterpillar_lam"] == {
+        "kind": "cap", "checked": [[1, 1], [1, 2], [2, 1], [2, 2]],
+        "skipped": []}
+
+
+def test_classify_dense_cap_leaves_quasi_maltsev_inconclusive(files, capsys):
+    assert main(["classify", files["p3"], "--no-timing",
+                 "--cap-dense", "8"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["caps"]["dense_cap"] == 8
+    qm = blob["verdicts"]["quasi_maltsev"]
+    assert qm["value"] == "inconclusive" and "dense cap 8" in qm["detail"]
+
+
+def test_stdin_serves_one_argument_only(files, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(render_structure(path(2))))
+    assert main(["hom", "-", "-"]) == 2
+    assert capsys.readouterr().err == \
+        "error: stdin can be used for at most one argument\n"

@@ -797,6 +797,44 @@ def test_repair_refuses_a_rule_that_repeats_a_variable():
         repair_to_symmetric(r.trace, canonical_program(path(2), "slam"))
 
 
+def _hand_derivation(text, steps):
+    """A derivation over P2's signature by the rules of text; steps are
+    (rule index, bindings), and only the last step's fact, goal, counts."""
+    p = parse_program(text, signature=DIGRAPH_SIG)
+    facts = [("P{1}", (1,))] * (len(steps) - 1) + [("goal", ())]
+    return Derivation(program=p, steps=tuple(
+        DerivationStep(fact, i, tuple(env.items()))
+        for fact, (i, env) in zip(facts, steps)))
+
+
+GOAL_ON_1 = "goal :- E(x,y), P{1}(x).\n"
+
+
+@pytest.mark.parametrize("text,steps,message", [
+    ("P{1}(y) :- E(x,y), E(y,z).\n" + GOAL_ON_1,
+     [(0, {"x": 0, "y": 1, "z": 1}), (1, {"x": 1, "y": 0})],
+     "is not linear arc over an EDB atom"),
+    ("P{5}(y) :- E(x,y).\ngoal :- E(x,y), P{5}(x).\n",
+     [(0, {"x": 0, "y": 1}), (1, {"x": 1, "y": 0})],
+     "'P\\{5\\}\\(y\\)' in .* is not a subset IDB on its EDB atom"),
+    ("P{0}(y) :- E(x,y).\ngoal :- E(x,y), P{0}(x).\n",
+     [(0, {"x": 0, "y": 1}), (1, {"x": 0, "y": 1})],
+     "invalid rule 'P\\{0\\}\\(y\\) :- E\\(x,y\\).'"),
+    ("P{1}(y) :- E(x,y).\n" + GOAL_ON_1,
+     [(0, {"y": 1}), (1, {"x": 1, "y": 0})],
+     "a step does not bind 'x'"),
+    (GOAL_ON_1, [(0, {"x": 1, "y": 0})],
+     "steps do not run from an EDB-only rule to the goal"),
+    ("P{1}(y) :- E(x,y).\n" + GOAL_ON_1,
+     [(0, {"x": 0, "y": 1}), (1, {"x": 0, "y": 1})],
+     "chain steps do not link up"),
+])
+def test_repair_refuses_each_malformed_derivation(text, steps, message):
+    d = _hand_derivation(text, steps)
+    with pytest.raises(RepairFailed, match=message):
+        repair_to_symmetric(d, canonical_program(path(2), "slam"))
+
+
 def test_derivation_to_json_shape():
     wt = weak_rules_template()
     lam = canonical_program(wt, "lam")

@@ -23,6 +23,7 @@ from slamlog.fixtures import (
 )
 from slamlog.homsolver import find_homomorphism, find_isomorphism, is_isomorphic
 from slamlog.structures import (
+    Partition,
     StructureFormatError,
     UnfoldError,
     canonical_database,
@@ -177,6 +178,17 @@ def test_canonical_database_inverts_canonical_query():
         assert db.size == s.size
         assert len(var_map) == s.size
         assert is_isomorphic(db, s)
+
+
+def test_class_index_map_numbers_classes_by_smallest_member():
+    # union by rank keeps the first argument's root on ties, so neither
+    # class below has its smallest member as root
+    part = Partition(6)
+    part.union(5, 0)
+    part.union(4, 1)
+    part.union(2, 4)
+    assert (part.find(0), part.find(1), part.find(2)) == (5, 4, 4)
+    assert part.class_index_map() == ([0, 1, 1, 2, 1, 0], 3)
 
 
 # --- shape flags --------------------------------------------------------------
