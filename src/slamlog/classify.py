@@ -135,60 +135,35 @@ def classify(b: Structure, caps: Caps = Caps()) -> ClassificationReport:
     k0 = m * b.size
     n0 = m * math.comb(b.size, b.size // 2)
 
-    t0 = time.perf_counter()
-    try:
-        ts = totally_symmetric_check(b, stream_cap=caps.stream_cap)
-    except CapExceeded as exc:
-        verdicts["tree_duality"] = Verdict("inconclusive", str(exc))
-    else:
-        if ts.ok:
-            verdicts["tree_duality"] = Verdict("yes", "subset power maps home")
-            witnesses["tree_duality"] = {
-                "subset_hom": [[sorted(s), v] for s, v in sorted(
-                    ts.witness_map().items(), key=lambda kv: sorted(kv[0]))],
-            }
-        else:
-            verdicts["tree_duality"] = Verdict(
-                "no", "no totally symmetric polymorphism of arity "
-                      f"{max(2 ** b.size - 1, 1)}")
-    timing["tree_duality"] = (time.perf_counter() - t0) * 1e3
+    checks = {
+        "tree_duality": lambda: _tree_duality(b, caps),
+        "quasi_maltsev": lambda: _quasi_maltsev(b, caps),
+        "caterpillar_lam": lambda: _caterpillar(
+            b, caps, verdicts["tree_duality"].value, k0, n0),
+    }
+    for name, check in checks.items():
+        t0 = time.perf_counter()
+        try:
+            verdicts[name], witness = check()
+        except CapExceeded as exc:
+            verdicts[name], witness = Verdict("inconclusive", str(exc)), None
+        timing[name] = (time.perf_counter() - t0) * 1e3
+        if witness is not None:
+            witnesses[name] = witness
 
-    t0 = time.perf_counter()
-    try:
-        qm = find_polymorphism_satisfying(
-            b, quasi_maltsev(), dense_cap=caps.dense_cap,
-            stream_cap=caps.stream_cap)
-        qm_verdict = Verdict("yes") if qm is not None else \
-            Verdict("no", "indicator structure has no homomorphism home")
-    except CapExceeded as exc:
-        qm = None
-        qm_verdict = Verdict("inconclusive", str(exc))
-    timing["quasi_maltsev"] = (time.perf_counter() - t0) * 1e3
-    verdicts["quasi_maltsev"] = qm_verdict
-    if qm is not None:
-        witnesses["quasi_maltsev"] = {"table": _table_json(qm)}
-
-    t0 = time.perf_counter()
-    verdicts["caterpillar_lam"], cat_witness = _caterpillar(
-        b, caps, verdicts["tree_duality"].value, k0, n0)
-    timing["caterpillar_lam"] = (time.perf_counter() - t0) * 1e3
-    if cat_witness is not None:
-        witnesses["caterpillar_lam"] = cat_witness
-
-    cat = verdicts["caterpillar_lam"]
-    if qm_verdict.value == "no" or cat.value == "no":
-        which = []
-        if qm_verdict.value == "no":
-            which.append("no quasi Maltsev polymorphism")
-        if cat.value == "no":
-            which.append("no caterpillar duality")
+    qm, cat = verdicts["quasi_maltsev"], verdicts["caterpillar_lam"]
+    which = [text for v, text in ((qm, "no quasi Maltsev polymorphism"),
+                                  (cat, "no caterpillar duality"))
+             if v.value == "no"]
+    if which:
         verdicts["slam"] = Verdict("no", "; ".join(which))
-    elif qm_verdict.value == "yes" and cat.value == "yes":
+    elif qm.value == "yes" and cat.value == "yes":
         verdicts["slam"] = Verdict(
             "yes", "quasi Maltsev polymorphism and caterpillar duality")
     else:
-        verdicts["slam"] = Verdict("inconclusive", cat.detail or
-                                   qm_verdict.detail)
+        # the detail of the inconclusive one, caterpillar if both are
+        verdicts["slam"] = Verdict("inconclusive", (
+            cat if cat.value == "inconclusive" else qm).detail)
 
     return ClassificationReport(
         structure=b.name or "structure",
@@ -201,6 +176,26 @@ def classify(b: Structure, caps: Caps = Caps()) -> ClassificationReport:
         caps=caps,
         timing_ms=timing,
     )
+
+
+def _tree_duality(b: Structure, caps: Caps):
+    ts = totally_symmetric_check(b, stream_cap=caps.stream_cap)
+    if not ts.ok:
+        return Verdict("no", "no totally symmetric polymorphism of arity "
+                             f"{max(2 ** b.size - 1, 1)}"), None
+    return Verdict("yes", "subset power maps home"), {
+        "subset_hom": [[sorted(s), v] for s, v in sorted(
+            ts.witness_map().items(), key=lambda kv: sorted(kv[0]))],
+    }
+
+
+def _quasi_maltsev(b: Structure, caps: Caps):
+    qm = find_polymorphism_satisfying(
+        b, quasi_maltsev(), dense_cap=caps.dense_cap,
+        stream_cap=caps.stream_cap)
+    if qm is not None:
+        return Verdict("yes"), {"table": _table_json(qm)}
+    return Verdict("no", "indicator structure has no homomorphism home"), None
 
 
 def _caterpillar(b: Structure, caps: Caps, tree: str, k0: int, n0: int):

@@ -64,11 +64,11 @@ def _read(path: str, state: dict) -> str:
 
 def _caps(args) -> Caps:
     given = {}
-    if getattr(args, "cap_dense", None) is not None:
+    if args.cap_dense is not None:
         given["dense_cap"] = args.cap_dense
-    if getattr(args, "cap_stream", None) is not None:
+    if args.cap_stream is not None:
         given["stream_cap"] = args.cap_stream
-    if getattr(args, "max_kn", None) is not None:
+    if args.max_kn is not None:
         given["max_k"], given["max_n"] = args.max_kn
     return Caps(**given)
 
@@ -87,25 +87,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "constraint templates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the classification caps, read by _caps
+    caps = argparse.ArgumentParser(add_help=False)
+    caps.add_argument("--cap-dense", type=int, metavar="N")
+    caps.add_argument("--cap-stream", type=int, metavar="N")
+    caps.add_argument("--max-kn", type=int, nargs=2, metavar=("K", "N"))
 
-    p = sub.add_parser("classify", help="duality and fragment verdicts")
+    p = sub.add_parser("classify", help="duality and fragment verdicts",
+                       parents=[caps])
     p.add_argument("template")
     p.add_argument("--json", action="store_true", help="accepted for "
                    "symmetry; classify always prints JSON")
     p.add_argument("--no-timing", action="store_true")
-    p.add_argument("--cap-dense", type=int, metavar="N")
-    p.add_argument("--cap-stream", type=int, metavar="N")
-    p.add_argument("--max-kn", type=int, nargs=2, metavar=("K", "N"))
 
-    p = sub.add_parser("solve", help="decide an instance against a template")
+    p = sub.add_parser("solve", help="decide an instance against a template",
+                       parents=[caps])
     p.add_argument("template")
     p.add_argument("instance")
     p.add_argument("--engine", choices=("slam", "ac", "search"),
                    default="slam")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap-dense", type=int, metavar="N")
-    p.add_argument("--cap-stream", type=int, metavar="N")
-    p.add_argument("--max-kn", type=int, nargs=2, metavar=("K", "N"))
 
     p = sub.add_parser("hom", help="find a homomorphism between structures")
     p.add_argument("source")

@@ -211,12 +211,10 @@ def pp_power(b: Structure, spec: PPPowerSpec) -> Structure:
         db, var_map = canonical_database(q)
         rows = set()
         for hom in enumerate_homomorphisms(db, b):
-            assignment = {v: hom[var_map[v]] for v in q.free}
-            rows.add(tuple(
-                _tuple_code([assignment[f"x{j * d + i + 1}"]
-                             for i in range(d)], b.size)
-                for j in range(arity)
-            ))
+            # free variable x{p+1} is coordinate p % d of argument p // d
+            values = [hom[var_map[v]] for v in q.free]
+            rows.add(tuple(_tuple_code(values[j * d:(j + 1) * d], b.size)
+                           for j in range(arity)))
         relations.append(frozenset(rows))
     return Structure(signature=spec.target, size=size,
                      relations=tuple(relations),
@@ -242,31 +240,24 @@ def apply_gadget_reduction(spec: PPPowerSpec, c: Structure) -> Structure:
     for sym, arity in spec.target.symbols:
         q = spec.query(sym)
         db, var_map = canonical_database(q)
-        free_of: dict[int, list[str]] = {}
-        for v in q.free:
-            free_of.setdefault(var_map[v], []).append(v)
-
-        def base_node(t, v):
-            idx = int(v[1:]) - 1
-            j, i = divmod(idx, d)
-            return t[j] * d + i
-
+        # the positions in q.free of the free variables of each element
+        free_of: dict[int, list[int]] = {}
+        for p, v in enumerate(q.free):
+            free_of.setdefault(var_map[v], []).append(p)
         for t in sorted(c.rel(sym)):
             node_of: dict[int, int] = {}
             for e in range(db.size):
                 hits = free_of.get(e)
                 if hits:
-                    node_of[e] = base_node(t, hits[0])
-                    if len(hits) > 1:
-                        union_sets.append([base_node(t, v) for v in hits])
+                    # free variable x{p+1} is base node p % d of t[p // d]
+                    union_sets.append([t[p // d] * d + p % d for p in hits])
+                    node_of[e] = union_sets[-1][0]
                 else:
                     node_of[e] = nodes
                     nodes += 1
             for src_sym, _, rel in db.relation_items():
                 for row in sorted(rel):
-                    raw_tuples.append(
-                        (src_sym, tuple(node_of[e] for e in row))
-                    )
+                    raw_tuples.append((src_sym, tuple(map(node_of.get, row))))
 
     part = Partition(nodes)
     for group in union_sets:

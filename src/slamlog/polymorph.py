@@ -604,19 +604,27 @@ def lattice_polymorphisms(
     n = b.size
     if n == 0 or n > 5:
         return None
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for assign in itertools.product((1, 2, 0), repeat=len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for (i, j), a in zip(pairs, assign):
-            if a == 1:
-                leq[i][j] = True
-            elif a == 2:
-                leq[j][i] = True
-        if not _transitive(leq, n):
-            continue
-        tables = _lattice_tables(leq, n)
-        if tables is None:
-            continue
+    bits = [1 << i for i in range(n)]
+    # each pair i < j is ordered i below j, j below i, or incomparable
+    options = [((i, j), (j, i), None) for i in range(n)
+               for j in range(i + 1, n)]
+    for assign in itertools.product(*options):
+        up = bits[:]  # up[i]: the elements above i, as a mask
+        for below in assign:
+            if below:
+                up[below[0]] |= bits[below[1]]
+        if any(up[j] & ~u for u in up for j in range(n) if u >> j & 1):
+            continue  # not transitive
+        down = [sum(bit for bit, u in zip(bits, up) if u & bits[z])
+                for z in range(n)]
+        # the join of i and j is the element whose up-set is the
+        # intersection of theirs, and the meet dually with down-sets
+        tables = []
+        for cone in up, down:
+            apex = {c: z for z, c in enumerate(cone)}
+            tables.append(tuple([apex.get(c & d) for c in cone for d in cone]))
+        if None in tables[0] or None in tables[1]:
+            continue  # not a lattice
         join, meet = [OperationTable(arity=2, size=n, values=values)
                       for values in tables]
         # uncapped: classify expects no CapExceeded from this search
@@ -624,29 +632,3 @@ def lattice_polymorphisms(
                 meet.is_polymorphism_of(b, stream_cap=math.inf):
             return join, meet
     return None
-
-
-def _transitive(leq, n) -> bool:
-    for i in range(n):
-        for j in range(n):
-            if leq[i][j]:
-                for l in range(n):
-                    if leq[j][l] and not leq[i][l]:
-                        return False
-    return True
-
-
-def _lattice_tables(leq, n):
-    """Join and meet of the partial order leq as flat value tables, or None
-    unless it is a lattice: the join of i and j is the element whose up-set
-    is the intersection of theirs, and the meet dually with down-sets."""
-    tables = []
-    for up in (True, False):
-        cone = [sum([1 << z for z in range(n)
-                     if (leq[i][z] if up else leq[z][i])]) for i in range(n)]
-        apex = {c: z for z, c in enumerate(cone)}
-        values = tuple([apex.get(c & d) for c in cone for d in cone])
-        if None in values:
-            return None
-        tables.append(values)
-    return tables

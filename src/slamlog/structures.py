@@ -284,32 +284,37 @@ class ShapeFlags:
     girth: int | None
 
 
-def _bfs(adj, start, removed=None) -> dict[int, int]:
-    """The parent of each node reachable from start without passing through
-    `removed`, in BFS order; start's parent is -1."""
-    parent = {start: -1}
-    order = [start]
-    for u in order:
+def _bfs(adj, start, removed=None):
+    """Yield (node, parent, depth) for each node reachable from start
+    without passing through `removed`, in BFS order; start's parent is -1.
+    A node is yielded before its neighbours are queued."""
+    seen = {start}
+    queue = [(start, -1, 0)]
+    for u, parent, depth in queue:
+        yield u, parent, depth
         for v in adj[u]:
-            if v != removed and v not in parent:
-                parent[v] = u
-                order.append(v)
-    return parent
+            if v != removed and v not in seen:
+                seen.add(v)
+                queue.append((v, u, depth + 1))
 
 
 def _graph_girth(adj, n) -> int | None:
     """Shortest cycle length of a simple undirected graph: the least
     depth(u) + depth(v) + 1 over the non-tree edges uv of a BFS from each
-    node."""
-    cycles = []
+    node.  Each BFS meets a non-tree edge at the end u that it reaches
+    later, where the sum is at least 2 depth(u), and stops once 2 depth(u)
+    reaches the best so far."""
+    best = n + 1  # longer than any cycle
     for src in range(n):
-        parent = _bfs(adj, src)
-        depth = {-1: -1}
-        for v, u in parent.items():
-            depth[v] = depth[u] + 1
-        cycles += [depth[u] + depth[v] + 1 for u in parent for v in adj[u]
-                   if v != parent[u] and u != parent[v]]
-    return min(cycles, default=None)
+        depth = {}
+        for u, parent, d in _bfs(adj, src):
+            if 2 * d >= best:
+                break
+            depth[u] = d
+            for v in adj[u]:
+                if v in depth and v != parent:
+                    best = min(best, depth[v] + d + 1)
+    return best if best <= n else None
 
 
 def longest_path(ig: IncidenceGraph) -> list[int]:
@@ -320,11 +325,9 @@ def longest_path(ig: IncidenceGraph) -> list[int]:
         return []
     path = [0]
     for _ in range(2):
-        parent = _bfs(ig.adjacency, path[0])
-        depth = {-1: -1}
-        for v, u in parent.items():
-            depth[v] = depth[u] + 1
-        path = [max(parent, key=lambda v: (depth[v], -v))]
+        walk = list(_bfs(ig.adjacency, path[0]))
+        parent = {v: u for v, u, _ in walk}
+        path = [max(walk, key=lambda e: (e[2], -e[0]))[0]]
         while parent[path[-1]] != -1:
             path.append(parent[path[-1]])
     return path[::-1]
@@ -349,7 +352,10 @@ def shape_of(s: Structure) -> ShapeFlags:
     path, a longest one works as well (cross-checked against an all-paths
     search in the test suite).
     """
-    ig = incidence_graph(s)
+    return _shape(s, incidence_graph(s))
+
+
+def _shape(s: Structure, ig: IncidenceGraph) -> ShapeFlags:
     n = ig.node_count()
     injective = all(
         len(set(t)) == len(t) for _, _, rel in s.relation_items() for t in rel
@@ -362,9 +368,7 @@ def shape_of(s: Structure) -> ShapeFlags:
     connected = n - merged <= 1
     gen_tree = connected and forest
     girth = None if forest else _graph_girth(ig.adjacency, n)
-    gen_cat = False
-    if gen_tree:
-        gen_cat = _dominates_tuples(ig, longest_path(ig))
+    gen_cat = gen_tree and _dominates_tuples(ig, longest_path(ig))
     return ShapeFlags(
         injective=injective,
         generalised_tree=gen_tree,
@@ -387,20 +391,19 @@ def unfold(t: Structure, a: int, b: int) -> Structure:
     canonical database of the middle part written three times, with the
     copies glued along a, b', a', b.
     """
-    shape = shape_of(t)
-    if not shape.tree:
+    ig = incidence_graph(t)
+    if not _shape(t, ig).tree:
         raise UnfoldError("unfold requires an injective tree")
     if a == b:
         raise UnfoldError("unfold endpoints must be distinct")
-    ig = incidence_graph(t)
     for x in (a, b):
         if not 0 <= x < t.size:
             raise UnfoldError(f"element {x} not in domain")
         if ig.degree(x) == 1:
             raise UnfoldError(f"element {x} is a leaf")
 
-    from_b = _bfs(ig.adjacency, b, a)  # nodes reaching b while avoiding a
-    from_a = _bfs(ig.adjacency, a, b)
+    from_b = {v for v, _, _ in _bfs(ig.adjacency, b, a)}  # avoiding a
+    from_a = {v for v, _, _ in _bfs(ig.adjacency, a, b)}
     phi_a, phi_b, psi = [], [], []
     for k, (sym, tup) in enumerate(ig.tuple_nodes):
         node = ig.element_count + k

@@ -14,6 +14,12 @@ absorptive check from frozensets: it canonicalises every family of at most
 n blocks to find the elements, and every combination of supports, one
 coordinate at a time, to find the tuples.  It is the oracle for
 `polymorph._setsystem_structure`, which works on up-set masks.
+
+`lattice_polymorphisms_literal` searches lattice orders as boolean `leq`
+matrices, checking transitivity entry by entry: the oracle for
+`polymorph.lattice_polymorphisms`, which builds each candidate order as
+up-set and down-set masks.  Both try the candidates in one order, so they
+return the same first lattice.
 """
 
 from __future__ import annotations
@@ -195,3 +201,59 @@ def setsystem_structure_literal(
         name=f"ss({b.name})" if b.name else "",
     )
     return struct, systems
+
+
+def lattice_polymorphisms_literal(
+    b: Structure,
+) -> tuple[OperationTable, OperationTable] | None:
+    """The first join/meet pair, in `itertools.product` order of the
+    candidate orders, of a lattice whose operations are polymorphisms of b;
+    None beyond five elements."""
+    n = b.size
+    if n == 0 or n > 5:
+        return None
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for assign in itertools.product((1, 2, 0), repeat=len(pairs)):
+        leq = [[i == j for j in range(n)] for i in range(n)]
+        for (i, j), a in zip(pairs, assign):
+            if a == 1:
+                leq[i][j] = True
+            elif a == 2:
+                leq[j][i] = True
+        if not _transitive(leq, n):
+            continue
+        tables = _lattice_tables(leq, n)
+        if tables is None:
+            continue
+        join, meet = [OperationTable(arity=2, size=n, values=values)
+                      for values in tables]
+        if join.is_polymorphism_of(b, stream_cap=math.inf) and \
+                meet.is_polymorphism_of(b, stream_cap=math.inf):
+            return join, meet
+    return None
+
+
+def _transitive(leq, n) -> bool:
+    for i in range(n):
+        for j in range(n):
+            if leq[i][j]:
+                for l in range(n):
+                    if leq[j][l] and not leq[i][l]:
+                        return False
+    return True
+
+
+def _lattice_tables(leq, n):
+    """Join and meet of the partial order leq as flat value tables, or None
+    unless it is a lattice: the join of i and j is the element whose up-set
+    is the intersection of theirs, and the meet dually with down-sets."""
+    tables = []
+    for up in (True, False):
+        cone = [sum([1 << z for z in range(n)
+                     if (leq[i][z] if up else leq[z][i])]) for i in range(n)]
+        apex = {c: z for z, c in enumerate(cone)}
+        values = tuple([apex.get(c & d) for c in cone for d in cone])
+        if None in values:
+            return None
+        tables.append(values)
+    return tables

@@ -13,6 +13,7 @@ from slamlog import datalog, homsolver, polymorph
 from slamlog.classify import (
     Caps,
     NotSlam,
+    Verdict,
     _sweep_instances,
     classify,
     emit_slam,
@@ -163,6 +164,19 @@ def test_tiny_caps_leave_b2_inconclusive():
     assert rep.verdicts["slam"].value == "inconclusive"
     with pytest.raises(NotSlam):
         emit_slam(b_n(2), caps)
+
+
+def test_inconclusive_slam_names_the_inconclusive_check():
+    # quasi Maltsev alone is capped: its detail, not the caterpillar's
+    rep = classify(path(3), Caps(dense_cap=8))
+    qm, cat = rep.verdicts["quasi_maltsev"], rep.verdicts["caterpillar_lam"]
+    assert (qm.value, cat.value) == ("inconclusive", "yes")
+    assert rep.verdicts["slam"] == Verdict("inconclusive", qm.detail)
+    # both capped: the caterpillar detail, as before
+    rep = classify(b_n(2), Caps(dense_cap=8, stream_cap=8, max_k=1, max_n=1))
+    qm, cat = rep.verdicts["quasi_maltsev"], rep.verdicts["caterpillar_lam"]
+    assert qm.value == cat.value == "inconclusive"
+    assert rep.verdicts["slam"] == Verdict("inconclusive", cat.detail)
 
 
 def test_subset_power_cap_leaves_tree_duality_inconclusive():

@@ -1,17 +1,23 @@
 """SHA-256 of outputs that a change keeps byte-identical unless it says
 otherwise: the timing-free classify report and the canonical programs of
 the paper's seven fixtures, the reports of the benchmark's three size-4
-duality sweeps, and the repairs of small lam refutations.  A change that alters one of them updates its hash
-here and names the change in CHANGES.md."""
+duality sweeps, the repairs of small lam refutations, the lattice
+polymorphisms and shape flags of seeded templates, the unfoldings of seeded
+trees and the pp-powers and gadget reductions of seeded specs.  A change
+that alters one of them updates its hash here and names the change in
+CHANGES.md."""
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import random
 
 from slamlog.classify import classify, enumerate_instances, verify_duality_pair
 from slamlog.datalog import canonical_program, evaluate, repair_to_symmetric
 from slamlog.fixtures import (
     b_n,
+    digraph,
     directed_cycle,
     horn_sat,
     path,
@@ -20,7 +26,16 @@ from slamlog.fixtures import (
     weak_rules_instance,
     weak_rules_template,
 )
-from slamlog.structures import Signature
+from slamlog.gadget import apply_gadget_reduction, parse_ppower_spec, pp_power
+from slamlog.polymorph import lattice_polymorphisms
+from slamlog.structures import (
+    Signature,
+    UnfoldError,
+    make_structure,
+    render_structure,
+    shape_of,
+    unfold,
+)
 
 FIXTURES = {
     "P2": path(2),
@@ -143,3 +158,136 @@ def test_repairs_of_small_lam_refutations_are_pinned():
                                    repair_to_symmetric(r.trace, slam).steps]))
     assert len(lines) == 1021
     assert _sha("\n".join(lines)) == REPAIRS
+
+
+LATTICES = (
+    "4ae9da0a75f53ceb58e1a028f28a6bf4388af898a0970ed2f8073ed96fb1bbcc")
+SHAPES = (
+    "aaed8eba291f356e98d493349d68e69bd10182ae728a3e81407b335968de6f0f")
+UNFOLDS = (
+    "97615c76902502f1a57edbfe8c209e21323755af71d10712d7129d3474f1f328")
+GADGETS = (
+    "d04d1c754e19b7cc90c3b84072121117aad61fef9ad70d1135b1d0d6037a6830")
+
+
+def _random_structure(rng, name, symbols, size, density):
+    return make_structure(name, symbols, size, {
+        sym: {t for t in itertools.product(range(size), repeat=ar)
+              if rng.random() < density} for sym, ar in symbols})
+
+
+def _random_template(rng, size, density=1.0):
+    """A digraph on `size` elements, half the time with a unary relation,
+    each tuple present with one seeded density below `density`."""
+    symbols = (("E", 2),) + ((("U", 1),) if rng.random() < 0.5 else ())
+    return _random_structure(rng, "A", symbols, size, rng.random() * density)
+
+
+def _lattice_templates():
+    """150 seeded templates of 1-5 elements.  Five-element ones are sparse,
+    so that only a few of them exhaust all 3^10 candidate orders."""
+    rng = random.Random(2301)
+    sizes = [rng.choice((1, 2, 3, 3, 4, 4, 4, 4, 4, 4, 5))
+             for _ in range(150)]
+    return [_random_template(rng, n, 0.25 if n == 5 else 1.0) for n in sizes]
+
+
+def test_lattice_polymorphisms_are_pinned():
+    lines = []
+    for b in _lattice_templates():
+        lat = lattice_polymorphisms(b)
+        lines.append(repr(lat and (lat[0].values, lat[1].values)))
+    assert _sha("\n".join(lines)) == LATTICES
+
+
+def _random_digraphs(seed, count, size, edges):
+    """`count` seeded loopless digraphs with `size` vertices and `edges`
+    edges."""
+    rng = random.Random(seed)
+    pool = [(u, v) for u in range(size) for v in range(size) if u != v]
+    return [digraph(size, rng.sample(pool, edges)) for _ in range(count)]
+
+
+def test_shapes_are_pinned():
+    rng = random.Random(2302)
+    structures = [_random_template(rng, rng.randrange(1, 7))
+                  for _ in range(300)]
+    structures += _random_digraphs(2303, 6, 60, 120)
+    structures += _random_digraphs(2304, 20, 12, 12)
+    assert _sha("\n".join(repr(shape_of(s)) for s in structures)) == SHAPES
+
+
+def _random_tree(rng, size):
+    """An injective tree: each new tuple holds one element already placed
+    and fresh elements elsewhere, over E/2, R/3 and U/1."""
+    symbols = (("E", 2), ("R", 3), ("U", 1))
+    rows = {sym: set() for sym, _ in symbols}
+    placed = 1
+    while placed < size:
+        sym, ar = rng.choice(symbols[:2])
+        ar = min(ar, size - placed + 1)
+        sym = "E" if ar == 2 else sym
+        row = [rng.randrange(placed)] + list(range(placed, placed + ar - 1))
+        rng.shuffle(row)
+        rows[sym].add(tuple(row))
+        placed += ar - 1
+    for v in rng.sample(range(size), rng.randrange(size // 2 + 1)):
+        rows["U"].add((v,))
+    return make_structure("T", symbols, size, rows)
+
+
+def _unfold_inputs():
+    """Seeded trees of 2-9 elements with every endpoint pair, one element
+    outside the domain included, and a few digraphs that are not trees."""
+    rng = random.Random(2305)
+    trees = [_random_tree(rng, rng.randrange(2, 10)) for _ in range(40)]
+    trees += _random_digraphs(2306, 5, 5, 5)
+    return [(t, a, b) for t in trees
+            for a in range(t.size + 1) for b in range(t.size + 1)]
+
+
+def test_unfolds_are_pinned():
+    lines = []
+    for t, a, b in _unfold_inputs():
+        try:
+            lines.append(render_structure(unfold(t, a, b)))
+        except UnfoldError as exc:
+            lines.append(f"UnfoldError: {exc}")
+    assert _sha("\n".join(lines)) == UNFOLDS
+
+
+def _random_spec(rng):
+    """A pp-power spec of dimension 1-3 with one or two target symbols of
+    arity 1-2, each query a few atoms over free and bound variables and
+    sometimes an equality."""
+    source = [("E", 2)] + ([("U", 1)] if rng.random() < 0.4 else [])
+    d = rng.choice((1, 1, 2, 3))
+    lines = [f"ppower d={d} from " + ",".join(f"{s}/{a}" for s, a in source)]
+    for i in range(rng.randrange(1, 3)):
+        ar = rng.choice((1, 2))
+        pool = [f"x{j + 1}" for j in range(d * ar)]
+        bound = [f"z{j + 1}" for j in range(rng.randrange(3))]
+        pool += bound
+        conjuncts = [f"{s}({','.join(rng.choice(pool) for _ in range(a))})"
+                     for s, a in rng.choices(source, k=rng.randrange(1, 4))]
+        if rng.random() < 0.4:
+            conjuncts.append(f"{rng.choice(pool)}={rng.choice(pool)}")
+        body = ", ".join(conjuncts)
+        if bound:
+            body = f"exists {' '.join(bound)} . {body}"
+        lines.append(f"rel R{i}/{ar} := {body}")
+    return parse_ppower_spec("\n".join(lines))
+
+
+def test_pp_powers_and_gadget_reductions_are_pinned():
+    rng = random.Random(2307)
+    lines = []
+    for _ in range(150):
+        spec = _random_spec(rng)
+        b = _random_structure(rng, "B", spec.source.symbols,
+                              rng.randrange(1, 4), 0.4)
+        c = _random_structure(rng, "C", spec.target.symbols,
+                              rng.randrange(1, 5), 0.4)
+        lines.append(render_structure(pp_power(b, spec)))
+        lines.append(render_structure(apply_gadget_reduction(spec, c)))
+    assert _sha("\n".join(lines)) == GADGETS

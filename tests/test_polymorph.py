@@ -6,6 +6,7 @@ import random
 import pytest
 from polymorph_oracle import (
     brute_force_search,
+    lattice_polymorphisms_literal,
     setsystem_structure_literal,
     subset_power_literal,
 )
@@ -189,6 +190,27 @@ def test_lattice_polymorphisms_fixture_values():
                 assert join.apply((x, meet.apply((x, y)))) == x
     assert lattice_polymorphisms(b_n(2)) is None
     assert lattice_polymorphisms(horn_sat()) is None
+
+
+def test_lattice_polymorphisms_equal_the_matrix_search():
+    """The mask search returns the literal `leq` search's first pair on
+    seeded templates of 1-5 elements; five-element ones are sparse, so
+    that a few of them exhaust every candidate order and most do not."""
+    rng = random.Random(2311)
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        density = rng.random() * (0.3 if n == 5 else 1.0)
+        symbols = (("E", 2),) + ((("U", 1),) if rng.random() < 0.5 else ())
+        b = make_structure("A", symbols, n, {
+            sym: {t for t in itertools.product(range(n), repeat=ar)
+                  if rng.random() < density} for sym, ar in symbols})
+        got = lattice_polymorphisms(b)
+        want = lattice_polymorphisms_literal(b)
+        assert (got and (got[0].values, got[1].values)) == \
+            (want and (want[0].values, want[1].values))
+        outcomes.add((n, got is None))
+    assert {(5, True), (5, False), (4, True), (4, False)} <= outcomes
 
 
 def test_totally_symmetric_check_fixture_values():

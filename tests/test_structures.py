@@ -21,11 +21,13 @@ from slamlog.fixtures import (
     unfolded_tree_expected,
     unfolding_tree,
 )
+from slamlog import structures
 from slamlog.homsolver import find_homomorphism, find_isomorphism, is_isomorphic
 from slamlog.structures import (
     Partition,
     StructureFormatError,
     UnfoldError,
+    _graph_girth,
     canonical_database,
     canonical_query,
     incidence_graph,
@@ -226,6 +228,22 @@ def test_shape_flags_match_oracles_random():
     assert checked > 10
 
 
+def test_girth_equals_edge_removal_oracle_on_larger_digraphs():
+    # the inputs where each BFS stops early: 20-60 vertices, sparse to dense
+    rng = random.Random(23)
+    girths = set()
+    for _ in range(12):
+        n = rng.randrange(20, 61)
+        pool = list(itertools.product(range(n), repeat=2))
+        s = make_structure("A", (("E", 2),), n,
+                           {"E": rng.sample(pool, rng.randrange(n // 2, 2 * n))})
+        ig = incidence_graph(s)
+        girth = _graph_girth(ig.adjacency, ig.node_count())
+        assert girth == _girth_oracle(s)
+        girths.add(girth)
+    assert len(girths) >= 3
+
+
 def test_longest_path_spans_a_path_structure():
     ig = incidence_graph(path(4))
     walk = longest_path(ig)
@@ -281,6 +299,17 @@ def test_unfold_maps_back_and_stays_caterpillar():
 def test_unfold_rejects_bad_input(args, fragment):
     with pytest.raises(UnfoldError, match=fragment):
         unfold(*args)
+
+
+def test_unfold_builds_one_incidence_graph(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return incidence_graph(s)
+    monkeypatch.setattr(structures, "incidence_graph", counting)
+    unfold(unfolding_tree(), UNFOLD_A, UNFOLD_B)
+    assert len(calls) == 1
 
 
 def test_unfold_rejects_non_injective():
