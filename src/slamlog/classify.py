@@ -9,6 +9,9 @@ conjunction of caterpillar duality with a quasi Maltsev polymorphism.
 A single absorptive check at (k0, n0) = (m|B|, m*C(|B|, |B|//2)) settles
 caterpillar duality; when that instance is out of reach a bounded sweep of
 small (k, n) can still refute it, otherwise the verdict is inconclusive.
+The sweep's pairs with k = 1 or n = 1 are settled by the subset power: once
+tree duality holds it maps home, and so do its substructures S(k, 1) and
+S(1, n), so only the cap is checked for them.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .polymorph import (
     find_polymorphism_satisfying,
     lattice_polymorphisms,
     quasi_maltsev,
+    setsystem_out_of_reach,
     totally_symmetric_check,
 )
 from .structures import Signature, Structure, render_structure
@@ -43,6 +47,11 @@ class Caps:
     stream_cap: int = DEFAULT_STREAM_CAP
     max_k: int = 4
     max_n: int = 4
+
+    def __post_init__(self):
+        for name, value in self.to_json().items():
+            if value < 0:
+                raise ValueError(f"negative {name} {value}")
 
     def to_json(self) -> dict:
         return {"dense_cap": self.dense_cap, "stream_cap": self.stream_cap,
@@ -218,9 +227,15 @@ def _caterpillar(b: Structure, caps: Caps, tree: str, k0: int, n0: int):
                 "retraction": list(retraction),
                 "join": _table_json(join), "meet": _table_json(meet),
             }
-    # (k0, n0) decides either way; the smaller pairs after it only refute
+    # (k0, n0) decides either way; the smaller pairs after it only refute.
+    # S(k, 1) and S(1, n) are substructures of the subset power, so once it
+    # maps home such a pair passes if absorptive_check would not be capped.
     checked, skipped = [], []
     for i, (k, n) in enumerate([(k0, n0), *_sweep_pairs(caps)]):
+        if i and tree == "yes" and 1 in (k, n):
+            capped = any(setsystem_out_of_reach(b, k, n, caps.stream_cap))
+            (skipped if capped else checked).append([k, n])
+            continue
         try:
             res = absorptive_check(b, k, n, stream_cap=caps.stream_cap)
         except CapExceeded:

@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .homsolver import WitnessError, find_homomorphism
@@ -506,12 +505,6 @@ def _enumerate_antichains(blocks: list[tuple[int, ...]], up: list[int],
     order; `up` their up-sets), as their sort keys and up-sets in sort key
     order: depth first, each block followed by later ones only.  Raises
     CapExceeded when there are more than cap + 1."""
-    # Every family of at most n subsets of one size is an antichain, and
-    # families inside different layers differ, so the layers' counts summed
-    # bound the count from below before anything is built.
-    if sum(math.comb(layer, r) for layer in Counter(map(len, blocks)).values()
-           for r in range(1, n + 1)) > cap + 1:
-        raise CapExceeded(f"more than {cap} set systems")
     clash = [sum(1 << j for j, v in enumerate(up) if u >> j & 1 or v >> i & 1)
              for i, u in enumerate(up)]
     keys, ups = [], []
@@ -530,6 +523,27 @@ def _enumerate_antichains(blocks: list[tuple[int, ...]], up: list[int],
     return keys, ups
 
 
+def setsystem_out_of_reach(b: Structure, k: int, n: int,
+                           stream_cap: int) -> tuple[bool, bool]:
+    """(too many set systems, too long a representative stream): the two
+    counts absorptive_check(b, k, n, stream_cap) holds against its cap
+    before it builds anything, raising CapExceeded if either is true.
+    Every family of at most n blocks of one size is an antichain, so the
+    layers' counts summed bound the set systems from below, exactly when
+    k = 1 (one layer) or n = 1 (one block each).  The stream, per relation
+    the sets of at most n supports (sets of at most k rows), bounds both
+    join closures."""
+    systems = sum(math.comb(math.comb(b.size, s), r)
+                  for s in range(1, min(k, b.size) + 1)
+                  for r in range(1, n + 1))
+    supports = [sum(math.comb(len(rel), r)
+                    for r in range(1, min(k, len(rel)) + 1))
+                for rel in b.relations]
+    return systems > stream_cap + 1, any(
+        sum(math.comb(s, r) for r in range(1, n + 1)) > stream_cap
+        for s in supports)
+
+
 def _setsystem_structure(
     b: Structure, k: int, n: int, stream_cap: int
 ) -> tuple[Structure, list]:
@@ -538,6 +552,9 @@ def _setsystem_structure(
     the antichains of the blocks of each set of at most n supports (sets of
     at most k rows): as up-sets, the depth-n join closure of the supports'
     up-sets, which are the depth-k join closure of the rows' masks."""
+    too_many, too_long = setsystem_out_of_reach(b, k, n, stream_cap)
+    if too_many:
+        raise CapExceeded(f"more than {stream_cap} set systems")
     blocks = sorted(s for r in range(1, min(k, b.size) + 1)
                     for s in itertools.combinations(range(b.size), r))
     masks = [sum(1 << v for v in s) for s in blocks]
@@ -546,14 +563,12 @@ def _setsystem_structure(
     up = [sum(1 << j for j, d in enumerate(masks) if c & d == c)
           for c in masks]
     systems, ups = _enumerate_antichains(blocks, up, n, stream_cap)
+    if too_long:
+        raise CapExceeded("set-system representative stream too large")
     index = {u: i for i, u in enumerate(ups)}
     up_of = dict(zip(masks, up))
     rels = []
     for sym, _, rel in b.relation_items():
-        supports = sum(math.comb(len(rel), r)
-                       for r in range(1, min(k, len(rel)) + 1))
-        if sum(math.comb(supports, r) for r in range(1, n + 1)) > stream_cap:
-            raise CapExceeded("set-system representative stream too large")
         what = f"set-system relation {sym}"     # never over the cap
         rows = {tuple(1 << v for v in u) for u in rel}
         gens = {tuple(map(up_of.__getitem__, t))
@@ -593,6 +608,39 @@ def absorptive_check(
 # Lattice polymorphisms
 # ---------------------------------------------------------------------------
 
+def _partial_orders(n: int):
+    """Every partial order on range(n) as its (up-set, down-set) masks, in
+    the order of itertools.product over the pairs y < z in lexicographic
+    order, each one y below z, z below y or incomparable.  The search is
+    depth first, one level per pair (at most ten, since lattice_polymorphisms
+    stops at five elements), and drops a prefix once a triple of
+    decided pairs breaks transitivity: a relation is transitive when every
+    triple x < y < z is, and (y, z) is the last of its pairs to be decided.
+    The masks yielded change when the search resumes."""
+    pairs = [(y, z) for y in range(n) for z in range(y + 1, n)]
+    up = [1 << i for i in range(n)]
+    down = up[:]
+
+    def extend(depth):
+        if depth == len(pairs):
+            yield up, down
+            return
+        y, z = pairs[depth]
+        lower = (1 << y) - 1         # the x of the triples (y, z) closes
+        for a, c in (y, z), (z, y):
+            up[a] |= 1 << c
+            down[c] |= 1 << a
+            # a below c: every x below a is below c, every x above c above a
+            if not (down[a] & lower & ~down[c] or up[c] & lower & ~up[a]):
+                yield from extend(depth + 1)
+            up[a] ^= 1 << c
+            down[c] ^= 1 << a
+        # incomparable, unless some x lies between them
+        if not (up[y] & down[z] | up[z] & down[y]) & lower:
+            yield from extend(depth + 1)
+    return extend(0)
+
+
 def lattice_polymorphisms(
     b: Structure,
 ) -> tuple[OperationTable, OperationTable] | None:
@@ -604,19 +652,10 @@ def lattice_polymorphisms(
     n = b.size
     if n == 0 or n > 5:
         return None
-    bits = [1 << i for i in range(n)]
-    # each pair i < j is ordered i below j, j below i, or incomparable
-    options = [((i, j), (j, i), None) for i in range(n)
-               for j in range(i + 1, n)]
-    for assign in itertools.product(*options):
-        up = bits[:]  # up[i]: the elements above i, as a mask
-        for below in assign:
-            if below:
-                up[below[0]] |= bits[below[1]]
-        if any(up[j] & ~u for u in up for j in range(n) if u >> j & 1):
-            continue  # not transitive
-        down = [sum(bit for bit, u in zip(bits, up) if u & bits[z])
-                for z in range(n)]
+    everything = (1 << n) - 1
+    for up, down in _partial_orders(n):
+        if everything not in up or everything not in down:
+            continue  # no least or no greatest element: not a lattice
         # the join of i and j is the element whose up-set is the
         # intersection of theirs, and the meet dually with down-sets
         tables = []

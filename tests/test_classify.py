@@ -576,3 +576,30 @@ def test_caterpillar_sweep_names_the_pairs_it_checked_and_skipped():
     assert len(witness["skipped"]) == 11
     assert sorted(map(tuple, witness["checked"] + witness["skipped"])) == \
         list(itertools.product(range(1, 5), repeat=2))
+
+
+def test_the_sweep_runs_no_absorptive_check_for_k_1_or_n_1(monkeypatch):
+    # Once the subset power maps home, a sweep pair with k = 1 or n = 1
+    # passes; only (k0, n0) and the larger pairs are checked.
+    calls = []
+    check = polymorph.absorptive_check
+
+    def counting(b, k, n, **kwargs):
+        calls.append((k, n))
+        return check(b, k, n, **kwargs)
+    monkeypatch.setattr("slamlog.classify.absorptive_check", counting)
+    rep = classify(horn_sat())
+    assert rep.verdicts["caterpillar_lam"].value == "no"
+    assert calls == [(6, 6), (2, 2)]
+    calls.clear()
+    classify(b_n(3))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("field", ["dense_cap", "stream_cap", "max_k",
+                                   "max_n"])
+def test_a_negative_cap_is_refused(field):
+    with pytest.raises(ValueError, match=f"negative {field}"):
+        Caps(**{field: -1})
+    rep = classify(path(2), Caps(**{field: 0}))
+    assert rep.caps.to_json()[field] == 0

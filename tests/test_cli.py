@@ -275,3 +275,12 @@ def test_stdin_serves_one_argument_only(files, capsys, monkeypatch):
     assert main(["hom", "-", "-"]) == 2
     assert capsys.readouterr().err == \
         "error: stdin can be used for at most one argument\n"
+
+
+@pytest.mark.parametrize("flags", [["--cap-stream", "-5"],
+                                   ["--cap-dense", "-1"],
+                                   ["--max-kn", "-1", "2"]])
+def test_classify_with_a_negative_cap_exits_2(files, capsys, flags):
+    assert main(["classify", files["p2"], *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "negative" in captured.err

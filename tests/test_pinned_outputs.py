@@ -3,7 +3,8 @@ otherwise: the timing-free classify report and the canonical programs of
 the paper's seven fixtures, the reports of the benchmark's three size-4
 duality sweeps, the repairs of small lam refutations, the lattice
 polymorphisms and shape flags of seeded templates, the unfoldings of seeded
-trees and the pp-powers and gadget reductions of seeded specs.  A change
+trees, the pp-powers and gadget reductions of seeded specs, and the
+classify reports of seeded templates and of capped fixture runs.  A change
 that alters one of them updates its hash here and names the change in
 CHANGES.md."""
 
@@ -13,10 +14,16 @@ import hashlib
 import itertools
 import random
 
-from slamlog.classify import classify, enumerate_instances, verify_duality_pair
+from slamlog.classify import (
+    Caps,
+    classify,
+    enumerate_instances,
+    verify_duality_pair,
+)
 from slamlog.datalog import canonical_program, evaluate, repair_to_symmetric
 from slamlog.fixtures import (
     b_n,
+    caterpillar_example,
     digraph,
     directed_cycle,
     horn_sat,
@@ -291,3 +298,75 @@ def test_pp_powers_and_gadget_reductions_are_pinned():
         lines.append(render_structure(pp_power(b, spec)))
         lines.append(render_structure(apply_gadget_reduction(spec, c)))
     assert _sha("\n".join(lines)) == GADGETS
+
+
+# classify reports that reach the fallback (k, n) sweep
+CLASSIFY_RANDOM = (
+    "b603890364e7a4fbd067ecf50b384bc2c9378db077c5899e72c17b951d1de241")
+CLASSIFY_LOW_CAPS = {
+    "B3":
+        "0dc6ec2dec8110e4b784274d0a24acd41a9fa86d9727a4f4ea2e84e440951ca5",
+    "HornSat":
+        "acbc3b6bba2b5d67140f1d58abd6fde53ca2ece200b1179a3cdb7d12988e3a80",
+    "WeakRules":
+        "3724e0c057231b690b4b675d41b700b8264b4a9bade7750a80e538e473592b3d",
+    "Caterpillar":
+        "285961c3bdb0a6fd3d1efd9d65076f5e9fcb638ba8b3ebffb78c6b245907c451",
+    "B2":
+        "026122885426bbc7d4d752238ac1e358d8f5e29b6c7047f6e9ac570eb30084c0",
+    "P3":
+        "c3eaa1e3d50fda7c74915703a64e8a0e6b460b13bdd7f118733cef4fdebe027c",
+}
+CLASSIFY_DEFAULT_CAPS = {
+    "WeakRules":
+        "382a559888c8848f41635f82570b4556c077fc771fe8180ef1f630181e1bb434",
+    "Caterpillar":
+        "0d4fea04ac2309530b8585e56746799593b657a9e4f5edcdae7b8d54c33273d0",
+}
+
+_CLASSIFY_SIGNATURES = (
+    (("E", 2),), (("U", 1), ("E", 2)), (("R", 3),), (("U", 1), ("R", 3)),
+    (("U", 1), ("V", 1), ("E", 2)))
+
+
+def _classify_runs():
+    """100 seeded templates of 1-4 elements over five signatures, each at
+    default caps and at seeded small caps.  Four-element ones are sparser,
+    so that few of them pay for a large subset power."""
+    rng = random.Random(2401)
+    runs = []
+    for _ in range(100):
+        symbols = rng.choice(_CLASSIFY_SIGNATURES)
+        size = rng.randrange(1, 5)
+        b = _random_structure(rng, "A", symbols, size,
+                              rng.random() * (0.5 if size == 4 else 1.0))
+        small = Caps(stream_cap=rng.choice((8, 32, 128, 512, 2048)),
+                     max_k=rng.randrange(1, 5), max_n=rng.randrange(1, 5))
+        runs += [(b, Caps()), (b, small)]
+    return runs
+
+
+def test_classify_reports_of_seeded_templates_are_pinned():
+    assert _sha("".join(classify(b, caps).to_json(include_timing=False)
+                        for b, caps in _classify_runs())) == CLASSIFY_RANDOM
+
+
+def test_classify_reports_at_low_stream_caps_are_pinned():
+    # the runs where a sweep pair with k = 1 or n = 1 can be out of reach
+    fixtures = {"B3": b_n(3), "HornSat": horn_sat(),
+                "WeakRules": weak_rules_template(),
+                "Caterpillar": caterpillar_example(), "B2": b_n(2),
+                "P3": path(3)}
+    assert {name: _sha("".join(
+        classify(b, Caps(stream_cap=cap, max_k=3, max_n=3))
+        .to_json(include_timing=False)
+        for cap in (2, 3, 4, 6, 8, 16, 32, 64)))
+        for name, b in fixtures.items()} == CLASSIFY_LOW_CAPS
+
+
+def test_classify_reports_of_six_element_fixtures_are_pinned():
+    # at default caps (k0, n0) is out of reach and the sweep decides
+    assert {name: _sha(classify(b).to_json(include_timing=False))
+            for name, b in (("WeakRules", weak_rules_template()),
+                            ("Caterpillar", caterpillar_example()))} == \
+        CLASSIFY_DEFAULT_CAPS

@@ -398,6 +398,26 @@ def test_setsystem_structure_raises_exactly_where_the_literal_one_does(k, n):
                 break
 
 
+def test_k_1_and_n_1_absorptive_checks_pass_where_the_subset_power_maps_home():
+    # S(1, n) and S(k, 1) are substructures of the subset power, so a
+    # homomorphism of the subset power restricts to both
+    rng = random.Random(2402)
+    passed = capped = 0
+    for b in _covering_randoms(2400, seed=2402):
+        cap = rng.choice((4, 16, 64, DEFAULT_STREAM_CAP))
+        tree = _unless_capped(totally_symmetric_check, b, cap)
+        if tree is None or not tree.ok:
+            continue
+        for k, n in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (3, 1), (4, 1)]:
+            res = _unless_capped(absorptive_check, b, k, n, cap)
+            if res is None:
+                capped += 1
+            else:
+                assert res.status == "yes", (b.name, k, n, cap)
+                passed += 1
+    assert passed > 10 * capped > 0
+
+
 def test_subset_power_raises_exactly_where_the_literal_power_is_over_cap():
     for b in _covering_randoms(40, seed=9):
         power = subset_power_literal(b)
