@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 from .datalog import Program, canonical_program, evaluate
@@ -54,17 +54,13 @@ class Caps:
                 raise ValueError(f"negative {name} {value}")
 
     def to_json(self) -> dict:
-        return {"dense_cap": self.dense_cap, "stream_cap": self.stream_cap,
-                "max_k": self.max_k, "max_n": self.max_n}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class Verdict:
     value: str                     # "yes" | "no" | "inconclusive"
     detail: str = ""
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "detail": self.detail}
 
 
 class NotSlam(Exception):
@@ -93,20 +89,10 @@ class ClassificationReport:
     timing_ms: dict[str, float]
 
     def to_json(self, include_timing: bool = True) -> str:
-        obj = {
-            "structure": self.structure,
-            "structure_hash": self.structure_hash,
-            "size": self.size,
-            "m": self.m,
-            "k0": self.k0,
-            "n0": self.n0,
-            "verdicts": {k: v.to_json() for k, v in self.verdicts.items()},
-            "witnesses": self.witnesses,
-            "caps": self.caps.to_json(),
-        }
+        obj = asdict(self)
+        timing = obj.pop("timing_ms")
         if include_timing:
-            obj["timing_ms"] = {k: round(v, 3)
-                                for k, v in self.timing_ms.items()}
+            obj["timing_ms"] = {k: round(v, 3) for k, v in timing.items()}
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -313,22 +299,15 @@ def _permutation_tables(spaces, size: int):
     domain's permutations: all of them on at most _WHOLE_GROUP elements
     (5! = 120), otherwise a transposition and a cycle.  Returns (half,
     tables) with a (low, high) pair of tables per permutation, so that the
-    image of `mask` is `low[mask & (1 << half) - 1] | high[mask >> half]`.
-    The whole group is the generators' closure under composing index arrays."""
+    image of `mask` is `low[mask & (1 << half) - 1] | high[mask >> half]`."""
     position = {}
     for r in reversed(range(len(spaces))):
         for t in spaces[r]:
             position[r, t] = len(position)
-    gens = [(1, 0, *range(2, size)), (*range(1, size), 0)] if size > 1 else []
+    gens = itertools.permutations(range(size)) if size <= _WHOLE_GROUP else \
+        [(1, 0, *range(2, size)), (*range(1, size), 0)]
     images = [tuple(position[r, tuple(g[e] for e in t)] for r, t in position)
               for g in gens]
-    if size <= _WHOLE_GROUP:
-        moves, images = images, [tuple(range(len(position)))]
-        group = set(images)
-        for q in images:
-            new = {tuple(g[i] for i in q) for g in moves} - group
-            group |= new
-            images += new
     half = len(position) // 2
     tables = []
     for image in images:

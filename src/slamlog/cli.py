@@ -63,14 +63,10 @@ def _read(path: str, state: dict) -> str:
 
 
 def _caps(args) -> Caps:
-    given = {}
-    if args.cap_dense is not None:
-        given["dense_cap"] = args.cap_dense
-    if args.cap_stream is not None:
-        given["stream_cap"] = args.cap_stream
-    if args.max_kn is not None:
-        given["max_k"], given["max_n"] = args.max_kn
-    return Caps(**given)
+    max_k, max_n = args.max_kn or (None, None)
+    given = {"dense_cap": args.cap_dense, "stream_cap": args.cap_stream,
+             "max_k": max_k, "max_n": max_n}
+    return Caps(**{k: v for k, v in given.items() if v is not None})
 
 
 def _fact_text(fact) -> str:
@@ -143,18 +139,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive small-instance checks")
     vsub = p.add_subparsers(dest="action", required=True)
-    v = vsub.add_parser("duality", help="check an obstruction set")
+    sweep = argparse.ArgumentParser(add_help=False)    # both sweeps' flags
+    sweep.add_argument("--size", type=int, required=True)
+    sweep.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored: sweeps run serially")
+    v = vsub.add_parser("duality", help="check an obstruction set",
+                        parents=[sweep])
     v.add_argument("template")
     v.add_argument("obstructions", nargs="+")
-    v.add_argument("--size", type=int, required=True)
-    v.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: sweeps run serially")
-    v = vsub.add_parser("solves", help="check a program against brute force")
+    v = vsub.add_parser("solves", help="check a program against brute force",
+                        parents=[sweep])
     v.add_argument("program")
     v.add_argument("template")
-    v.add_argument("--size", type=int, required=True)
-    v.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: sweeps run serially")
 
     return parser
 

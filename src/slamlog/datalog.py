@@ -5,7 +5,8 @@ symmetrization repair that turns linear goal derivations into symmetric ones.
 The evaluator has one worklist, over integer tables that arc monadic
 programs compile to: a canonical program from its template's rule blocks,
 any other program of the same shape from its rules.  Programs of any other
-shape are grounded up front.
+shape are grounded up front, by the one search loop over the
+homomorphisms from each rule's canonical database.
 
 Fragments are combinations of four restrictions: monadic (IDB arity at most
 one), arc (at most one EDB atom per body), linear (at most one IDB atom per
@@ -22,9 +23,15 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
-from .homsolver import SignatureMismatch
+from .homsolver import HomSearcher, SignatureMismatch
 from .polymorph import DEFAULT_STREAM_CAP, CapExceeded
-from .structures import Signature, Structure, split_top_level
+from .structures import (
+    ConjunctiveQuery,
+    Signature,
+    Structure,
+    canonical_database,
+    split_top_level,
+)
 
 GOAL = "goal"
 
@@ -579,42 +586,44 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
 
 def _evaluate_grounded(p: Program, a: Structure,
                        stop_at_goal: bool) -> EvalResult:
-    """evaluate on a program not of canonical shape, every rule grounded up
-    front: EDB atoms in body order against sorted rows, then the variables
-    no EDB atom binds over every element, ascending.  Ground instances
-    without IDB body atoms fire in that order; any other fires once the
-    last of its distinct IDB body facts is popped."""
-    rows = {sym: sorted(a.rel(sym)) for sym in p.signature.names()}
+    """evaluate on a program not of canonical shape.  A rule's ground
+    instances are the homomorphisms into a from the canonical database of
+    its EDB atoms, one element per variable: those of the EDB atoms first,
+    by first occurrence in body order, then the rest.  The one search loop
+    lists them in lexicographic order, that of joining the EDB atoms in body
+    order over sorted rows, then the other variables over every element.
+    Instances without IDB body atoms fire in that order; any other fires
+    once the last of its distinct IDB body facts is popped."""
+    searcher = HomSearcher(a)
+    # canonical database -> its homomorphisms, shared by alike EDB bodies
+    homs: dict = {}
     instances = []           # (rule index, bindings, head, IDB body facts)
     waiting: dict = {}       # fact -> the instances whose bodies use it
     counts = []              # per instance, its body facts not yet popped
     linear = True
     for rule_idx, rule in enumerate(p.rules):
+        edb, idb = _body_split(rule, p.signature)
+        linear = linear and len(idb) <= 1
         variables = tuple(dict.fromkeys(
             [v for atom in (rule.head, *rule.body) for v in atom.args]))
-        edb = [atom for atom in rule.body if atom.pred in rows]
-        idb = [atom for atom in rule.body if atom.pred not in rows]
-        linear = linear and len(idb) <= 1
-        envs = [{}]
-        for atom in edb:
-            envs = [env for env in (_bind(env, atom.args, t) for env in envs
-                                    for t in rows[atom.pred])
-                    if env is not None]
-        bound = {v for atom in edb for v in atom.args}
-        spare = [v for v in variables if v not in bound]
-        for env in envs:
-            for values in itertools.product(range(a.size), repeat=len(spare)):
-                at = {**env, **dict(zip(spare, values))}
-                body = tuple(dict.fromkeys(
-                    [(atom.pred, tuple([at[v] for v in atom.args]))
-                     for atom in idb]))
-                for f in body:
-                    waiting.setdefault(f, []).append(len(instances))
-                counts.append(len(body))
-                instances.append((
-                    rule_idx, tuple([(v, at[v]) for v in variables]),
-                    (rule.head.pred, tuple([at[v] for v in rule.head.args])),
-                    body))
+        order = tuple(dict.fromkeys(
+            [v for atom in (*edb, rule.head, *rule.body) for v in atom.args]))
+        db, _ = canonical_database(ConjunctiveQuery(
+            p.signature, order, (), tuple([(e.pred, e.args) for e in edb])))
+        if db not in homs:
+            homs[db] = list(searcher.enumerate(db))
+        for values in homs[db]:
+            at = dict(zip(order, values))
+            body = tuple(dict.fromkeys(
+                [(atom.pred, tuple([at[v] for v in atom.args]))
+                 for atom in idb]))
+            for f in body:
+                waiting.setdefault(f, []).append(len(instances))
+            counts.append(len(body))
+            instances.append((
+                rule_idx, tuple([(v, at[v]) for v in variables]),
+                (rule.head.pred, tuple([at[v] for v in rule.head.args])),
+                body))
 
     provenance: dict = {}    # fact -> (rule index, bindings, body facts)
     queue = deque()
@@ -648,15 +657,6 @@ def _evaluate_grounded(p: Program, a: Structure,
             fact = body[0] if body else None
         trace = Derivation(program=p, steps=tuple(reversed(steps)))
     return EvalResult(facts=frozenset(provenance), goal=goal, trace=trace)
-
-
-def _bind(env: dict, args: tuple, t: tuple) -> dict | None:
-    """env extended by binding args to t, or None where they disagree."""
-    env = dict(env)
-    for v, x in zip(args, t):
-        if env.setdefault(v, x) != x:
-            return None
-    return env
 
 
 def _row_args(rule: Rule, sig: Signature) -> tuple[str, ...]:

@@ -12,13 +12,12 @@ are linked by a homomorphism adjunction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .homsolver import SignatureMismatch, enumerate_homomorphisms
 from .polymorph import _tuple_code
 from .structures import (
     ConjunctiveQuery,
-    Partition,
     Signature,
     Structure,
     canonical_database,
@@ -67,10 +66,7 @@ class PPPowerSpec:
                 )
 
     def query(self, sym: str) -> ConjunctiveQuery:
-        for name, q in self.queries:
-            if name == sym:
-                return q
-        raise KeyError(sym)
+        return dict(self.queries)[sym]
 
 
 # ---------------------------------------------------------------------------
@@ -224,48 +220,29 @@ def pp_power(b: Structure, spec: PPPowerSpec) -> Structure:
 def apply_gadget_reduction(spec: PPPowerSpec, c: Structure) -> Structure:
     """Rewrite an instance of the target language into the source language.
 
-    Every element of c becomes d elements, every constraint is replaced by a
-    copy of its defining query with fresh existential elements, and the
-    equality conjuncts are folded away by a quotient.  An assignment
+    The output is the canonical database of one conjunctive query: each
+    element of c becomes d free variables, and each constraint a copy of
+    its defining query whose free variables are those of its arguments,
+    with fresh bound variables and its equalities renamed.  An assignment
     satisfying the output in b corresponds exactly to a homomorphism from c
     into pp_power(b, spec).
     """
     if spec.target != c.signature:
         raise SignatureMismatch("instance does not match the target signature")
     d = spec.dimension
-    nodes = d * c.size
-    union_sets: list[list[int]] = []
-    tuples: dict[str, set] = {sym: set() for sym in spec.source.names()}
-    raw_tuples: list[tuple[str, tuple[int, ...]]] = []
-    for sym, arity in spec.target.symbols:
+    free = tuple(f"{e}.{k}" for e in range(c.size) for k in range(d))
+    bound, atoms, equalities = [], [], []
+    for sym, _ in spec.target.symbols:
         q = spec.query(sym)
-        db, var_map = canonical_database(q)
-        # the positions in q.free of the free variables of each element
-        free_of: dict[int, list[int]] = {}
-        for p, v in enumerate(q.free):
-            free_of.setdefault(var_map[v], []).append(p)
         for t in sorted(c.rel(sym)):
-            node_of: dict[int, int] = {}
-            for e in range(db.size):
-                hits = free_of.get(e)
-                if hits:
-                    # free variable x{p+1} is base node p % d of t[p // d]
-                    union_sets.append([t[p // d] * d + p % d for p in hits])
-                    node_of[e] = union_sets[-1][0]
-                else:
-                    node_of[e] = nodes
-                    nodes += 1
-            for src_sym, _, rel in db.relation_items():
-                for row in sorted(rel):
-                    raw_tuples.append((src_sym, tuple(map(node_of.get, row))))
-
-    part = Partition(nodes)
-    for group in union_sets:
-        for other in group[1:]:
-            part.union(group[0], other)
-    index, quotient_size = part.class_index_map()
-    for sym, row in raw_tuples:
-        tuples[sym].add(tuple(index[e] for e in row))
-    relations = tuple(frozenset(tuples[sym]) for sym in spec.source.names())
-    return Structure(signature=spec.source, size=quotient_size,
-                     relations=relations, name=f"reduce({c.name})")
+            # free variable x{p+1} is coordinate p % d of argument p // d;
+            # each copy's bound variables are named apart by a prefix
+            name = {v: f"{t[p // d]}.{p % d}" for p, v in enumerate(q.free)}
+            name |= {v: f"{len(bound)}:{v}" for v in q.bound}
+            bound += [name[v] for v in q.bound]
+            atoms += [(src, tuple([name[v] for v in args]))
+                      for src, args in q.atoms]
+            equalities += [(name[x], name[y]) for x, y in q.equalities]
+    db, _ = canonical_database(ConjunctiveQuery(
+        spec.source, free, tuple(bound), tuple(atoms), tuple(equalities)))
+    return replace(db, name=f"reduce({c.name})")

@@ -461,15 +461,16 @@ def parse_structure(text: str) -> Structure:
         return item
 
     no, line = take()
-    if not line.startswith("structure"):
+    keyword, *name = line.split(None, 1)
+    if keyword != "structure":
         raise StructureFormatError(f"line {no}: expected 'structure'")
-    name = line[len("structure"):].strip()
     no, line = take()
-    if not line.startswith("domain "):
+    fields = line.split()
+    if fields[0] != "domain" or len(fields) != 2:
         raise StructureFormatError(f"line {no}: expected 'domain <n>'")
     try:
-        size = int(line.split()[1])
-    except (IndexError, ValueError):
+        size = int(fields[1])
+    except ValueError:
         raise StructureFormatError(f"line {no}: bad domain size") from None
     symbols: list[tuple[str, int]] = []
     relations: dict[str, set[tuple[int, ...]]] = {}
@@ -509,6 +510,6 @@ def parse_structure(text: str) -> Structure:
     if pos != len(lines):
         raise StructureFormatError(f"line {lines[pos][0]}: trailing content")
     try:
-        return make_structure(name, symbols, size, relations)
+        return make_structure("".join(name), symbols, size, relations)
     except ValueError as exc:
         raise StructureFormatError(str(exc)) from None

@@ -9,7 +9,10 @@ programs, so kept out of the package.
 
 `canonical_rules` lists the valid rules of a canonical program's shape by
 trying every candidate against the template's rows, as the definition
-reads, for comparison with `slamlog.datalog.canonical_program`."""
+reads, for comparison with `slamlog.datalog.canonical_program`.
+
+`random_program` and `random_instance` draw seeded programs of other
+shapes, and instances of up to three elements, for the grounded path."""
 
 from __future__ import annotations
 
@@ -25,10 +28,11 @@ from slamlog.datalog import (
     EvalResult,
     Program,
     Rule,
+    _rule_tables,
     subset_name,
 )
 from slamlog.homsolver import SignatureMismatch
-from slamlog.structures import Structure
+from slamlog.structures import Signature, Structure, make_structure
 
 
 def _compile_rule(rule, sig):
@@ -198,3 +202,44 @@ def canonical_rules(b: Structure, fragment: str) -> list[Rule]:
                                             atoms))
     out.append(Rule(Atom(GOAL, ()), (Atom(subset_name(()), ("x1",)),)))
     return out
+
+
+GROUNDED_EDB = Signature((("E", 2), ("U", 1), ("R", 3)))
+GROUNDED_IDB = (("P", 1), ("Q", 1), ("S", 2), ("N", 0))
+
+
+def random_program(rng) -> Program:
+    """A program over E/2, U/1 and R/3 with IDBs P/1, Q/1, S/2 and N/0, not
+    of canonical shape: three to six rules, the last a goal rule, each body
+    up to three EDB atoms and up to two IDB atoms over the variables x, y
+    and z, so bodies may join EDB atoms, repeat a variable or hold IDB atoms
+    only.  Drawn again while the program compiles to tables."""
+    while True:
+        rules = []
+        for i in range(rng.randrange(3, 7)):
+            preds = rng.choices(GROUNDED_EDB.symbols, k=rng.choice(
+                (0, 1, 1, 2, 2, 3))) + \
+                rng.choices(GROUNDED_IDB, k=rng.choice((0, 0, 1, 1, 2)))
+            if not preds:
+                preds = [rng.choice(GROUNDED_IDB)]
+            body = tuple(Atom(pred, tuple(rng.choices("xyz", k=ar)))
+                         for pred, ar in preds)
+            bound = sorted({v for atom in body for v in atom.args})
+            heads = [(GOAL, 0)] if i == 0 else [(GOAL, 0)] + \
+                [(q, ar) for q, ar in GROUNDED_IDB if bound or not ar]
+            pred, ar = rng.choice(heads)
+            head = Atom(pred, tuple(rng.choices(bound, k=ar)))
+            rules.append(Rule(head, body))
+        p = Program(GROUNDED_EDB, tuple(rules[1:] + rules[:1]))
+        if _rule_tables(p) is None:
+            return p
+
+
+def random_instance(rng) -> Structure:
+    """An instance over E/2, U/1 and R/3 of 0-3 elements, holding each tuple
+    with probability one half."""
+    size = rng.randrange(4)
+    rels = {sym: [t for t in itertools.product(range(size), repeat=ar)
+                  if rng.random() < 0.5]
+            for sym, ar in GROUNDED_EDB.symbols}
+    return make_structure("A", GROUNDED_EDB.symbols, size, rels)

@@ -260,6 +260,11 @@ def test_verify_program_solves_finds_counterexamples():
     assert rep.counterexamples
 
 
+def test_sweeps_need_a_size_cap_or_an_instance_stream():
+    p = canonical_program(path(2), "slam")
+    with pytest.raises(ValueError, match="need size_cap or an explicit"):
+        verify_program_solves(p, path(2))
+
 def test_verify_duality_pair_small():
     rep = verify_duality_pair([path(3)], path(2), 3)
     assert rep.holds

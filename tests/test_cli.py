@@ -284,3 +284,72 @@ def test_classify_with_a_negative_cap_exits_2(files, capsys, flags):
     assert main(["classify", files["p2"], *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "negative" in captured.err
+
+
+UNARY = "structure U\ndomain 1\nrel U 1\n0\nend\nend\n"
+SPEC = "ppower d=1 from E/2\nrel E/2 := E(x1,x2)\n"
+
+
+# Each case: the arguments, with {t0}, {t1} standing for files holding the
+# texts and {p2}, {edge} for fixture files, then a fragment of the message.
+@pytest.mark.parametrize("argv,texts,fragment", [
+    (["hom", "{t0}", "{p2}"], ["domain 2\nend\n"], "expected 'structure'"),
+    (["hom", "{t0}", "{p2}"], ["structureX\ndomain 1\nend\n"],
+     "expected 'structure'"),
+    (["hom", "{t0}", "{p2}"], ["structures foo\ndomain 1\nend\n"],
+     "expected 'structure'"),
+    (["hom", "{t0}", "{p2}"], ["structure A\nrel E 2\nend\nend\n"],
+     "expected 'domain <n>'"),
+    (["hom", "{t0}", "{p2}"], ["structure A\ndomain 3 junk\nend\n"],
+     "expected 'domain <n>'"),
+    (["hom", "{t0}", "{p2}"], ["structure A\ndomain 2\nrel E two\nend\nend\n"],
+     "bad arity"),
+    (["hom", "{t0}", "{p2}"], ["structure A\ndomain 2\nrel E 2\n0 x\nend\nend\n"],
+     "bad tuple"),
+    (["hom", "{t0}", "{p2}"], ["structure A\ndomain 2\nend\nend\n"],
+     "trailing content"),
+    (["hom", "{t0}", "{p2}"], ["structure A\ndomain -1\nend\n"],
+     "negative domain size"),
+    (["hom", "{t0}", "{p2}"], ["structure A\ndomain 1\nrel E 0\nend\nend\n"],
+     "symbol E has arity 0 < 1"),
+    (["eval", "{t0}", "{edge}"], ["P(x) :- E(x,y)\n"], "must end with '.'"),
+    (["eval", "{t0}", "{edge}"], ["P(x) E(x,y).\n"], "missing ':-'"),
+    (["eval", "{t0}", "{edge}"], ["P(x) :- E(x,1y).\n"], "bad variable '1y'"),
+    (["eval", "{t0}", "{edge}"], ["P(x) :- E(x,y), (Q(x).\n"],
+     "unbalanced '('"),
+    (["eval", "{t0}", "{edge}"], ["P(x) :- E(x,y), goal.\n"],
+     "goal cannot occur in a body"),
+    (["eval", "{t0}", "{edge}"], ["P(x) :- E(x).\n"],
+     "'E' expects 2 arguments, got 1"),
+    (["gadget", "apply", "{t0}", "{edge}"], ["# nothing\n"],
+     "empty specification"),
+    (["gadget", "apply", "{t0}", "{edge}"],
+     ["ppower d=1 from E2\nrel E/2 := E(x1,x2)\n"], "bad signature entry"),
+    (["gadget", "apply", "{t0}", "{edge}"],
+     ["ppower d=1 from E/2,E/2\nrel E/2 := E(x1,x2)\n"], "duplicate symbols"),
+    (["gadget", "apply", "{t0}", "{edge}"],
+     ["ppower d=1 from E/2\nrel E/2 := exists 1z . E(x1,x2)\n"],
+     "bad bound variable"),
+    (["gadget", "apply", "{t0}", "{edge}"],
+     ["ppower d=1 from E/2\nrel E/2 := E(x1,x2), , E(x2,x1)\n"],
+     "empty conjunct"),
+    (["gadget", "apply", "{t0}", "{edge}"],
+     ["ppower d=1 from E/2\nrel E/2 := E(x1,x2), x1 < x2\n"], "bad conjunct"),
+    (["gadget", "apply", "{t0}", "{t1}"], [SPEC, UNARY],
+     "instance does not match the target signature"),
+    (["gadget", "power", "{t0}", "{t1}"], [SPEC, UNARY],
+     "structure does not match the source signature"),
+    (["verify", "duality", "{p2}", "{t0}", "--size", "2"], [UNARY],
+     "obstruction signature mismatch"),
+])
+def test_malformed_input_exits_2_with_one_error_line(files, capsys, tmp_path,
+                                                     argv, texts, fragment):
+    paths = dict(files)
+    for i, text in enumerate(texts):
+        paths[f"t{i}"] = tmp_path / f"t{i}.txt"
+        paths[f"t{i}"].write_text(text)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and fragment in line, line

@@ -7,7 +7,12 @@ import itertools
 import random
 
 import pytest
-from datalog_oracle import canonical_rules, evaluate_grounded
+from datalog_oracle import (
+    canonical_rules,
+    evaluate_grounded,
+    random_instance,
+    random_program,
+)
 
 from slamlog import datalog
 from slamlog.classify import enumerate_instances
@@ -613,6 +618,33 @@ def test_on_demand_grounding_equals_full_grounding_on_hand_programs():
                 a = make_structure("A", prog.signature.symbols, a.size, empty)
             goals += _agrees_with_grounding(prog, a)
     assert goals > 40
+
+
+def test_grounded_path_equals_full_grounding_on_seeded_programs():
+    """Seeded programs not of canonical shape, on instances of 0-3
+    elements, with and without stop_at_goal."""
+    rng = random.Random(6065)
+    seen = dict.fromkeys(("two EDB atoms", "repeated variable", "S", "N",
+                          "IDB-only body", "empty instance"), 0)
+    goals = traces = 0
+    for _ in range(400):
+        p = random_program(rng)
+        for rule in p.rules:
+            edb, idb = datalog._body_split(rule, p.signature)
+            seen["two EDB atoms"] += len(edb) > 1
+            seen["repeated variable"] += any(
+                len(set(atom.args)) < len(atom.args) for atom in edb)
+            seen["IDB-only body"] += not edb
+        preds = {atom.pred for rule in p.rules
+                 for atom in (rule.head, *rule.body)}
+        seen["S"] += "S" in preds
+        seen["N"] += "N" in preds
+        a = random_instance(rng)
+        seen["empty instance"] += a.size == 0
+        goals += _agrees_with_grounding(p, a)
+        traces += evaluate(p, a).trace is not None
+    assert min(seen.values()) > 20 and goals > 80 and traces > 30, \
+        (seen, goals, traces)
 
 
 # P is numbered 0, C 1, Q 2, D 3 and X 4 by first occurrence, so the arc

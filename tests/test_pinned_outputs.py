@@ -4,7 +4,8 @@ the paper's seven fixtures, the reports of the benchmark's three size-4
 duality sweeps, the repairs of small lam refutations, the lattice
 polymorphisms and shape flags of seeded templates, the unfoldings of seeded
 trees, the pp-powers and gadget reductions of seeded specs, and the
-classify reports of seeded templates and of capped fixture runs.  A change
+classify reports of seeded templates and of capped fixture runs, and the
+evaluations of seeded programs not of canonical shape.  A change
 that alters one of them updates its hash here and names the change in
 CHANGES.md."""
 
@@ -12,7 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import random
+
+from datalog_oracle import random_instance, random_program
 
 from slamlog.classify import (
     Caps,
@@ -165,6 +169,26 @@ def test_repairs_of_small_lam_refutations_are_pinned():
                                    repair_to_symmetric(r.trace, slam).steps]))
     assert len(lines) == 1021
     assert _sha("\n".join(lines)) == REPAIRS
+
+
+# facts, goal and trace of seeded programs not of canonical shape, with and
+# without stop_at_goal
+GROUNDED = (
+    "73c02f8e26fd47478f063f31c88467d551c04123a5fd34cfc6c1761f14f4b81c")
+
+
+def test_grounded_evaluations_are_pinned():
+    rng = random.Random(6066)
+    lines = []
+    for _ in range(300):
+        p = random_program(rng)
+        a = random_instance(rng)
+        lines.append(p.render() + render_structure(a))
+        for stop in (False, True):
+            r = evaluate(p, a, stop_at_goal=stop)
+            trace = r.trace.to_json() if r.trace is not None else None
+            lines.append(json.dumps([sorted(r.facts), r.goal, trace]))
+    assert _sha("\n".join(lines)) == GROUNDED
 
 
 LATTICES = (

@@ -159,10 +159,22 @@ def test_parse_accepts_comments_and_blank_lines():
     ("structure A\ndomain 2\nwhat\nend\n", "expected"),
     ("structure A\ndomain 2\nrel E 2\n0 1\n", "end of input"),
     ("structure A\ndomain x\nend\n", "domain"),
+    ("structure A\ndomain 3 junk\nend\n", "expected 'domain <n>'"),
+    ("structureX\ndomain 1\nend\n", "expected 'structure'"),
+    ("structures foo\ndomain 1\nend\n", "expected 'structure'"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(StructureFormatError, match=fragment):
         parse_structure(text)
+
+
+def test_parse_accepts_a_bare_structure_line():
+    unnamed = make_structure("", (("E", 2),), 2, {"E": {(0, 1)}})
+    text = render_structure(unnamed)
+    assert text.startswith("structure\n")
+    parsed = parse_structure(text)
+    assert parsed == unnamed and parsed.name == ""
+    assert parse_structure("structure\tA  B\ndomain 0\nend\n").name == "A  B"
 
 
 @settings(max_examples=40, deadline=None)
