@@ -69,11 +69,8 @@ from .polymorph import (
     CapExceeded,
     MinorCondition,
     OperationTable,
-    SetSystem,
-    TotallySymmetricResult,
     absorptive_check,
     block_symmetric_absorptive,
-    canonical_set_system,
     condition_pairs,
     find_polymorphism_satisfying,
     indicator_structure,
@@ -82,7 +79,6 @@ from .polymorph import (
     quasi_maltsev,
     quasi_minority,
     subset_power_structure,
-    totally_symmetric,
     totally_symmetric_check,
 )
 from .structures import (

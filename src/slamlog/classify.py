@@ -1,11 +1,12 @@
 """Template classification: tree duality, caterpillar duality, and
 solvability by symmetric linear arc monadic Datalog.
 
-The decision procedure combines three characterizations: tree duality via
-totally symmetric polymorphisms of the subset power, caterpillar duality
-via block-symmetric absorptive polymorphisms (with lattice operations as a
+The decision procedure combines three characterizations: tree duality as
+a homomorphism from the subset power home, caterpillar duality via
+block-symmetric absorptive polymorphisms (with lattice operations as a
 fast sufficient certificate), and the symmetric fragment as the
 conjunction of caterpillar duality with a quasi Maltsev polymorphism.
+Each witness is written from the homomorphism its check returns.
 A single absorptive check at (k0, n0) = (m|B|, m*C(|B|, |B|//2)) settles
 caterpillar duality; when that instance is out of reach a bounded sweep of
 small (k, n) can still refute it, otherwise the verdict is inconclusive.
@@ -108,17 +109,6 @@ def _sweep_pairs(caps: Caps):
     return pairs
 
 
-def _absorptive_witness(res) -> dict:
-    out = {"k": res.k, "n": res.n, "strategy": res.strategy,
-           "indicator_size": res.indicator_size}
-    if res.witness_map is not None:
-        out["map"] = [
-            [[sorted(block) for block in system.blocks], value]
-            for system, value in res.witness_map
-        ]
-    return out
-
-
 def classify(b: Structure, caps: Caps = Caps()) -> ClassificationReport:
     """Full report on tree duality, caterpillar duality, and slam."""
     if b.size == 0:
@@ -174,13 +164,14 @@ def classify(b: Structure, caps: Caps = Caps()) -> ClassificationReport:
 
 
 def _tree_duality(b: Structure, caps: Caps):
-    ts = totally_symmetric_check(b, stream_cap=caps.stream_cap)
-    if not ts.ok:
+    hom = totally_symmetric_check(b, stream_cap=caps.stream_cap)
+    if hom is None:
         return Verdict("no", "no totally symmetric polymorphism of arity "
                              f"{max(2 ** b.size - 1, 1)}"), None
     return Verdict("yes", "subset power maps home"), {
-        "subset_hom": [[sorted(s), v] for s, v in sorted(
-            ts.witness_map().items(), key=lambda kv: sorted(kv[0]))],
+        "subset_hom": sorted(
+            [[v for v in range(b.size) if (m + 1) >> v & 1], value]
+            for m, value in enumerate(hom)),
     }
 
 
@@ -233,8 +224,14 @@ def _caterpillar(b: Structure, caps: Caps, tree: str, k0: int, n0: int):
                 {"kind": "absorptive_fail", "k": k, "n": n,
                  "strategy": res.strategy}
         if not i:
-            return Verdict("yes", f"absorptive polymorphism at {at}"), \
-                {"kind": "absorptive", **_absorptive_witness(res)}
+            # the frozenset's order, not sorted: reports have always used it
+            return Verdict("yes", f"absorptive polymorphism at {at}"), {
+                "kind": "absorptive", "k": k, "n": n,
+                "strategy": res.strategy,
+                "indicator_size": res.indicator_size,
+                "map": [[[sorted(block) for block in frozenset(
+                    map(frozenset, sorted(blocks, key=len)))], value]
+                    for blocks, value in zip(res.systems, res.hom)]}
         checked.append([k, n])
     # only a capped (k0, n0) gets here, and it is skipped[0]
     return Verdict(

@@ -232,10 +232,7 @@ def parse_program(text: str, signature: Signature | None = None) -> Program:
             rules.append(Rule(head=head, body=body))
         except DatalogFormatError as exc:
             raise DatalogFormatError(f"line {line_no}: {exc}") from None
-    try:
-        return Program(signature=signature, rules=tuple(rules))
-    except DatalogFormatError as exc:
-        raise DatalogFormatError(str(exc)) from None
+    return Program(signature=signature, rules=tuple(rules))
 
 
 def render_program(p: Program) -> str:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .homsolver import SignatureMismatch, enumerate_homomorphisms
-from .polymorph import _tuple_code
+from .polymorph import DEFAULT_STREAM_CAP, CapExceeded, _tuple_code
 from .structures import (
     ConjunctiveQuery,
     Signature,
@@ -196,7 +196,9 @@ def render_ppower_spec(spec: PPPowerSpec) -> str:
 
 def pp_power(b: Structure, spec: PPPowerSpec) -> Structure:
     """The structure over spec.target whose domain is b^d and whose
-    relations hold exactly where the defining queries are satisfied."""
+    relations hold exactly where the defining queries are satisfied.
+    Raises CapExceeded when a query has more than DEFAULT_STREAM_CAP
+    solutions in b."""
     if spec.source != b.signature:
         raise SignatureMismatch("structure does not match the source signature")
     d = spec.dimension
@@ -206,7 +208,10 @@ def pp_power(b: Structure, spec: PPPowerSpec) -> Structure:
         q = spec.query(sym)
         db, var_map = canonical_database(q)
         rows = set()
-        for hom in enumerate_homomorphisms(db, b):
+        for count, hom in enumerate(enumerate_homomorphisms(db, b)):
+            if count == DEFAULT_STREAM_CAP:
+                raise CapExceeded(f"query for {sym} has more than "
+                                  f"{DEFAULT_STREAM_CAP} solutions")
             # free variable x{p+1} is coordinate p % d of argument p // d
             values = [hom[var_map[v]] for v in q.free]
             rows.add(tuple(_tuple_code(values[j * d:(j + 1) * d], b.size)

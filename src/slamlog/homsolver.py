@@ -42,7 +42,6 @@ no call recurses, whatever the input size.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .structures import Partition, Structure
 
@@ -54,16 +53,6 @@ class SignatureMismatch(ValueError):
 class WitnessError(RuntimeError):
     """A computed witness failed its check: a defect in the solver, never a
     verdict about the input."""
-
-
-@dataclass(frozen=True)
-class CandidateSets:
-    """Per-element candidate sets, the greatest arc-consistent fixpoint."""
-
-    sets: tuple[frozenset[int], ...]
-
-    def __getitem__(self, i: int) -> frozenset[int]:
-        return self.sets[i]
 
 
 def _check_signatures(a: Structure, b: Structure):
@@ -241,17 +230,17 @@ class HomSearcher:
                 queued[ai] = 0
         return True
 
-    def arc_consistency(self, a: Structure) -> CandidateSets | None:
+    def arc_consistency(self,
+                        a: Structure) -> tuple[frozenset[int], ...] | None:
         _check_signatures(a, self.target)
         if a.size and self.nb == 0:
             return None
         cand = [self.full] * a.size
         if not self._propagate(self._atoms(a), cand):
             return None
-        sets = tuple(
+        return tuple(
             frozenset(v for v in range(self.nb) if (m >> v) & 1) for m in cand
         )
-        return CandidateSets(sets=sets)
 
     # -- search -------------------------------------------------------------
 
@@ -320,8 +309,10 @@ class HomSearcher:
             stack.append([var, cand[var], len(trail), count])
 
 
-def arc_consistency(a: Structure, b: Structure) -> CandidateSets | None:
-    """Greatest arc-consistent candidate sets, or None when inconsistent."""
+def arc_consistency(a: Structure,
+                    b: Structure) -> tuple[frozenset[int], ...] | None:
+    """Per element of a, its candidate set at the greatest arc-consistent
+    fixpoint, or None when inconsistent."""
     return HomSearcher(b).arc_consistency(a)
 
 

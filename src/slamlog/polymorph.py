@@ -14,15 +14,16 @@ The subset power and the set systems of absorptive conditions are built
 from their generators by one kernel, `_join_closure`, the bounded-depth OR
 closure of a set of mask tuples.  A set system (a canonical antichain of
 blocks) is its up-set among the candidate blocks, the OR of its blocks'
-up-sets, so no family is ever minimised.  `absorptive_check` decides on
-set systems only, builds `SetSystem` objects only for a witness map that
-is read, and has the dense indicator of the same condition as its oracle,
-`find_polymorphism_satisfying(b, block_symmetric_absorptive(k, n))`.
+up-sets, so no family is ever minimised.  Both checks on these
+structures return the homomorphism they find.  `totally_symmetric_check`
+maps the subset power home; the totally symmetric condition of arity n is
+`block_symmetric_absorptive(1, n)`.  `absorptive_check` decides on set
+systems only, and has the dense indicator of the same condition as its
+oracle, `find_polymorphism_satisfying(b, block_symmetric_absorptive(k, n))`.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -130,12 +131,6 @@ def quasi_majority() -> MinorCondition:
     return MinorCondition(kind="quasi_majority", arity=3)
 
 
-def totally_symmetric(n: int) -> MinorCondition:
-    if n < 1:
-        raise ValueError("arity must be positive")
-    return MinorCondition(kind="tsym", arity=n)
-
-
 def block_symmetric_absorptive(k: int, n: int) -> MinorCondition:
     """k-absorptive block-symmetric condition of arity k*n."""
     if k < 1 or n < 1:
@@ -170,20 +165,18 @@ def condition_pairs(c: MinorCondition, domain_size: int):
                 yield ((x, x, y), (x, y, x))
                 yield ((x, y, x), (y, x, x))
                 yield ((y, x, x), (x, x, x))
-    elif c.kind in ("tsym", "absorptive"):
-        # tuples with the same entry set (tsym) or block sets are identified
+    elif c.kind == "absorptive":
+        # tuples with the same block sets are identified
         k, n = c.block_size, c.blocks
         groups: dict[frozenset, list] = {}
         for t in itertools.product(d, repeat=c.arity):
-            key = frozenset(t) if c.kind == "tsym" \
-                else frozenset(_blocks_of(t, k))
-            groups.setdefault(key, []).append(t)
+            groups.setdefault(frozenset(_blocks_of(t, k)), []).append(t)
         for members in groups.values():
             for a in members:
                 for b in members:
                     if a != b:
                         yield (a, b)
-        if c.kind == "absorptive" and n >= 2:
+        if n >= 2:
             # rewrite (S1, S2, rest) -> (S2, S2, rest) whenever S2 is inside S1
             for a in itertools.product(d, repeat=c.arity):
                 bs = _blocks_of(a, k)
@@ -244,12 +237,6 @@ def closure_partition(c: MinorCondition, domain_size: int) -> Partition:
     if c.kind in ("quasi_maltsev", "quasi_minority", "quasi_majority"):
         for a, b in condition_pairs(c, domain_size):
             part.union(_tuple_code(a, domain_size), _tuple_code(b, domain_size))
-        return part
-    if c.kind == "tsym":
-        for code in range(size):
-            t = _code_tuple(code, domain_size, c.arity)
-            rep = _padded_writing(frozenset(t), c.arity)
-            part.union(code, _tuple_code(rep, domain_size))
         return part
     if c.kind == "absorptive":
         k, n = c.block_size, c.blocks
@@ -369,25 +356,6 @@ def find_polymorphism_satisfying(
 # Totally symmetric polymorphisms / tree duality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TotallySymmetricResult:
-    ok: bool
-    power: Structure
-    subsets: tuple[frozenset[int], ...]
-    hom: tuple[int, ...] | None
-
-    def witness_map(self) -> dict[frozenset[int], int] | None:
-        if self.hom is None:
-            return None
-        return {s: self.hom[i] for i, s in enumerate(self.subsets)}
-
-
-def _nonempty_subsets(size: int) -> tuple[frozenset[int], ...]:
-    """The nonempty subsets of 0..size-1, in order of their bit masks."""
-    return tuple(frozenset(v for v in range(size) if (m >> v) & 1)
-                 for m in range(1, 1 << size))
-
-
 def _join_closure(gens, depth: int, cap: int, what: str) -> set:
     """The coordinatewise ORs of at most `depth` of the mask tuples `gens`,
     one generator count per level, each level joining the last one's new
@@ -427,19 +395,12 @@ def subset_power_structure(b: Structure,
 
 def totally_symmetric_check(
     b: Structure, stream_cap: int = DEFAULT_STREAM_CAP,
-) -> TotallySymmetricResult:
-    """Decide totally symmetric polymorphisms of all arities at once.
-
-    The subset power (capped by stream_cap) maps to b exactly when such a
-    family exists; the homomorphism is the witness (send each argument set
-    to its image).
-    """
-    if b.size == 0:
-        return TotallySymmetricResult(ok=True, power=b, subsets=(), hom=())
-    power = subset_power_structure(b, stream_cap)
-    hom = find_homomorphism(power, b)
-    return TotallySymmetricResult(ok=hom is not None, power=power,
-                                  subsets=_nonempty_subsets(b.size), hom=hom)
+) -> tuple[int, ...] | None:
+    """Decide totally symmetric polymorphisms of all arities at once: the
+    homomorphism from the subset power (capped by stream_cap) to b, whose
+    entry m is the image of the subset with bit mask m + 1, or None when
+    there is none and so no such family."""
+    return find_homomorphism(subset_power_structure(b, stream_cap), b)
 
 
 # ---------------------------------------------------------------------------
@@ -447,37 +408,12 @@ def totally_symmetric_check(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SetSystem:
-    """Canonical antichain of nonempty blocks (inclusion-minimal sets)."""
-
-    blocks: frozenset[frozenset[int]]
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("set system needs at least one block")
-        for s in self.blocks:
-            if not s:
-                raise ValueError("empty block")
-            if any(o < s for o in self.blocks):
-                raise ValueError("blocks must form an antichain")
-
-    def sort_key(self):
-        return tuple(sorted(tuple(sorted(s)) for s in self.blocks))
-
-
-def canonical_set_system(blocks) -> SetSystem:
-    bs = {frozenset(s) for s in blocks if s}
-    minimal = {s for s in bs if not any(o < s for o in bs)}
-    return SetSystem(blocks=frozenset(minimal))
-
-
-@dataclass(frozen=True)
 class AbsorptiveResult:
     """Outcome of absorptive_check, decided on set systems.  A "yes"
     carries `hom`, the homomorphism from the set-system structure to the
-    template, and `witness_map`, built when first read: the operation sends
-    a tuple to the value of the canonical set system of its blocks.  A "no"
-    carries None.  `systems` holds each set system's sort key."""
+    template: the operation sends a tuple to the value of the canonical set
+    system of its blocks.  A "no" carries None.  `systems` holds each set
+    system's sort key, in the order of the structure's elements."""
 
     status: str                     # "yes" | "no"
     k: int
@@ -487,16 +423,6 @@ class AbsorptiveResult:
     systems: list[tuple[tuple[int, ...], ...]] = field(
         default_factory=list, repr=False, compare=False)
     strategy = "setsystem"          # not a field: the one way to decide
-
-    @functools.cached_property
-    def witness_map(self) -> tuple[tuple[SetSystem, int], ...] | None:
-        if self.hom is None:
-            return None
-        # blocks go in by size, then elements: a frozenset iterates in an
-        # order that depends on insertion, and reports list them in it
-        return tuple(
-            (SetSystem(frozenset(map(frozenset, sorted(blocks, key=len)))), v)
-            for blocks, v in zip(self.systems, self.hom))
 
 
 def _enumerate_antichains(blocks: list[tuple[int, ...]], up: list[int],

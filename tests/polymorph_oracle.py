@@ -11,9 +11,10 @@ with |B|^(|B|^arity), so keep it to two- and three-element templates.
 
 `setsystem_structure_literal` builds the set-system structure of an
 absorptive check from frozensets: it canonicalises every family of at most
-n blocks to find the elements, and every combination of supports, one
-coordinate at a time, to find the tuples.  It is the oracle for
-`polymorph._setsystem_structure`, which works on up-set masks.
+n blocks with `canonical_set_system` to find the elements, and every
+combination of supports, one coordinate at a time, to find the tuples.
+It is the oracle for `polymorph._setsystem_structure`, which works on
+up-set masks.
 
 `lattice_polymorphisms_literal` searches lattice orders as boolean `leq`
 matrices, checking transitivity entry by entry: the oracle for
@@ -35,10 +36,17 @@ from slamlog.polymorph import (
     _check_witness,
     _power_codes,
     _tuple_code,
-    canonical_set_system,
     condition_pairs,
 )
 from slamlog.structures import Structure
+
+
+def canonical_set_system(blocks) -> tuple[tuple[int, ...], ...]:
+    """The sort key of the canonical set system of a family of blocks: its
+    inclusion-minimal nonempty blocks as sorted tuples, in sorted order."""
+    bs = {frozenset(s) for s in blocks if s}
+    return tuple(sorted(tuple(sorted(s)) for s in bs
+                        if not any(o < s for o in bs)))
 
 
 def _nonempty_subsets(size: int) -> tuple[frozenset[int], ...]:
@@ -165,7 +173,7 @@ def setsystem_structure_literal(
         for size in range(1, min(k, b.size) + 1)
         for s in itertools.combinations(range(b.size), size)
     ]
-    systems = sorted({canonical_set_system(family).sort_key()
+    systems = sorted({canonical_set_system(family)
                       for r in range(1, n + 1)
                       for family in itertools.combinations(subsets, r)})
     if len(systems) > stream_cap + 1:
@@ -189,9 +197,8 @@ def setsystem_structure_literal(
             for v in itertools.combinations(supports, vsize):
                 entry = []
                 for i in range(ar):
-                    ss = canonical_set_system(frozenset(u[i] for u in w)
-                                              for w in v)
-                    entry.append(index[ss.sort_key()])
+                    entry.append(index[canonical_set_system(
+                        frozenset(u[i] for u in w) for w in v)])
                 out.add(tuple(entry))
         rels.append(frozenset(out))
     struct = Structure(

@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps slamlog functions by name, so renaming one of
 them breaks a traced benchmark run.  This test installs the tracer over a
-small classification, sweep and program evaluation, so such a rename fails
-the suite too."""
+small classification, sweep, program evaluation, arc consistency, core and
+fragment test, and checks that every span it wraps is entered, so such a
+rename fails the suite too."""
 
 from __future__ import annotations
 
@@ -34,6 +35,10 @@ def test_tracer_wraps_and_restores_the_traced_names(monkeypatch):
         # a directed triangle has no homomorphism to the path P3
         lam = datalog.canonical_program(path(3), "lam")
         assert datalog.evaluate(lam, directed_cycle(3)).goal
+        assert datalog.fragment_of(lam).linear
+        homsolver = importlib.import_module("slamlog.homsolver")
+        assert homsolver.arc_consistency(path(2), path(3)) is not None
+        assert homsolver.core_of(path(3))[0].size == 3     # a core
     finally:
         t.uninstall()
     counts = t.take()
@@ -42,10 +47,14 @@ def test_tracer_wraps_and_restores_the_traced_names(monkeypatch):
     assert [r.to_json() for r in traced] == [
         slamlog.verify_duality_pair([f], path(2), 3).to_json()
         for f in (path(3), path(4))]
-    for name in ("polymorph.closure_partition", "polymorph.absorptive",
-                 "homsolver.find", "classify.classify", "classify.sweep",
-                 "classify.sweep.enumerate", "datalog.evaluate",
-                 "datalog.canonical_program"):
+    # every span that tracer.install wraps
+    for name in ("polymorph.closure_partition", "polymorph.indicator",
+                 "polymorph.witness_check", "polymorph.absorptive",
+                 "polymorph.subset_power", "polymorph.lattice",
+                 "homsolver.find", "homsolver.ac", "homsolver.core",
+                 "datalog.evaluate", "datalog.fragment_of",
+                 "datalog.canonical_program", "classify.classify",
+                 "classify.sweep", "classify.sweep.enumerate"):
         assert counts.get(name + ".calls", 0) > 0, name
     assert counts.get("datalog.evaluate.facts", 0) > 0
     # counted only while AbsorptiveResult.strategy reads "setsystem"

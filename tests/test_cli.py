@@ -177,6 +177,19 @@ def test_gadget_power_and_apply(files, capsys, tmp_path):
     assert red.size == 3
 
 
+def test_gadget_power_over_the_stream_cap_exits_2(files, capsys, tmp_path,
+                                                  monkeypatch):
+    # x2..x20 are free: 2 * 3^19 solutions on P3
+    monkeypatch.setattr("slamlog.gadget.DEFAULT_STREAM_CAP", 1000)
+    spec = tmp_path / "spec.txt"
+    spec.write_text("ppower d=10 from E/2 ; rel E/2 := exists z . E(x1,z)\n")
+    assert main(["gadget", "power", str(spec), files["p3"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == "error: query for E has more than 1000 solutions"
+
+
 def test_verify_duality(files, capsys):
     assert main(["verify", "duality", files["p2"], files["p3"], "--size", "3"]) == 0
     blob = json.loads(capsys.readouterr().out)

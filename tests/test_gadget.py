@@ -15,6 +15,7 @@ from slamlog.gadget import (
     render_ppower_spec,
 )
 from slamlog.homsolver import find_homomorphism, is_isomorphic
+from slamlog.polymorph import CapExceeded
 from slamlog.structures import canonical_database, make_structure
 
 
@@ -127,6 +128,17 @@ def test_unconstrained_coordinate_ranges_over_the_domain():
 
 
 # --- gadget reductions ----------------------------------------------------------------
+
+def test_pp_power_refuses_a_query_over_the_stream_cap(monkeypatch):
+    # E(x1,z) holds for x1 in {0, 1} of P3, and x2 is free: 6 solutions
+    spec = parse_ppower_spec(
+        "ppower d=2 from E/2\nrel U/1 := exists z . E(x1,z)\n")
+    monkeypatch.setattr("slamlog.gadget.DEFAULT_STREAM_CAP", 6)
+    assert len(pp_power(path(3), spec).rel("U")) == 6
+    monkeypatch.setattr("slamlog.gadget.DEFAULT_STREAM_CAP", 5)
+    with pytest.raises(CapExceeded, match="U has more than 5 solutions"):
+        pp_power(path(3), spec)
+
 
 def test_identity_reduction_is_isomorphic_to_the_instance():
     spec = parse_ppower_spec(IDENTITY)

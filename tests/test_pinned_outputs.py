@@ -4,10 +4,10 @@ the paper's seven fixtures, the reports of the benchmark's three size-4
 duality sweeps, the repairs of small lam refutations, the lattice
 polymorphisms and shape flags of seeded templates, the unfoldings of seeded
 trees, the pp-powers and gadget reductions of seeded specs, and the
-classify reports of seeded templates and of capped fixture runs, and the
-evaluations of seeded programs not of canonical shape.  A change
-that alters one of them updates its hash here and names the change in
-CHANGES.md."""
+classify reports of seeded templates, of capped fixture runs and of
+absorptive witnesses, and the evaluations of seeded programs not of
+canonical shape.  A change that alters one of them updates its hash here
+and names the change in CHANGES.md."""
 
 from __future__ import annotations
 
@@ -341,6 +341,9 @@ CLASSIFY_LOW_CAPS = {
     "P3":
         "c3eaa1e3d50fda7c74915703a64e8a0e6b460b13bdd7f118733cef4fdebe027c",
 }
+# classify reports decided by the absorptive check at (k0, n0)
+CLASSIFY_ABSORPTIVE = (
+    "82010cc68176fc3dbd40c2ec3af38212e78ba3caaca35d83cad360ce9bb74b09")
 CLASSIFY_DEFAULT_CAPS = {
     "WeakRules":
         "382a559888c8848f41635f82570b4556c077fc771fe8180ef1f630181e1bb434",
@@ -394,3 +397,25 @@ def test_classify_reports_of_six_element_fixtures_are_pinned():
             for name, b in (("WeakRules", weak_rules_template()),
                             ("Caterpillar", caterpillar_example()))} == \
         CLASSIFY_DEFAULT_CAPS
+
+
+def test_classify_reports_with_absorptive_witnesses_are_pinned(monkeypatch):
+    """60 seeded templates of 1-3 elements over E/2, U/1+E/2 and R/3, with
+    no lattice certificate, so that the absorptive check decides and most
+    reports carry its set-system map."""
+    monkeypatch.setattr("slamlog.classify.lattice_polymorphisms",
+                        lambda b: None)
+    rng = random.Random(2601)
+    reports = []
+    for _ in range(60):
+        symbols = rng.choice(_CLASSIFY_SIGNATURES[:3])
+        size = rng.randrange(1, 4)
+        b = _random_structure(rng, "A", symbols, size, rng.random())
+        reports.append(classify(b).to_json(include_timing=False))
+    # a map lists each system's blocks in one fixed order, which is not
+    # always sorted order
+    systems = [blocks for text in reports
+               for w in [json.loads(text)["witnesses"].get("caterpillar_lam")]
+               if w and w["kind"] == "absorptive" for blocks, _ in w["map"]]
+    assert any(blocks != sorted(blocks) for blocks in systems)
+    assert _sha("".join(reports)) == CLASSIFY_ABSORPTIVE

@@ -6,6 +6,7 @@ import random
 import pytest
 from polymorph_oracle import (
     brute_force_search,
+    canonical_set_system,
     lattice_polymorphisms_literal,
     setsystem_structure_literal,
     subset_power_literal,
@@ -25,7 +26,6 @@ from slamlog.fixtures import (
     weak_rules_instance,
     weak_rules_template,
 )
-from slamlog.classify import Caps, classify
 from slamlog.homsolver import (
     HomSearcher,
     WitnessError,
@@ -36,10 +36,8 @@ from slamlog.polymorph import (
     DEFAULT_STREAM_CAP,
     CapExceeded,
     OperationTable,
-    SetSystem,
     absorptive_check,
     block_symmetric_absorptive,
-    canonical_set_system,
     closure_partition,
     condition_pairs,
     find_polymorphism_satisfying,
@@ -49,7 +47,6 @@ from slamlog.polymorph import (
     quasi_maltsev,
     quasi_minority,
     subset_power_structure,
-    totally_symmetric,
     totally_symmetric_check,
 )
 from slamlog.polymorph import (
@@ -143,7 +140,7 @@ def test_find_polymorphism_witness_is_valid():
     for b, cond in [
         (path(2), quasi_maltsev()),
         (directed_cycle(3), quasi_maltsev()),
-        (horn_sat(), totally_symmetric(3)),
+        (horn_sat(), block_symmetric_absorptive(1, 3)),
     ]:
         table = find_polymorphism_satisfying(b, cond)
         assert table is not None
@@ -215,13 +212,16 @@ def test_lattice_polymorphisms_equal_the_matrix_search():
 
 def test_totally_symmetric_check_fixture_values():
     for b in (path(2), horn_sat(), b_n(2), st_con()):
-        r = totally_symmetric_check(b)
-        assert r.ok
-        assert is_homomorphism(r.power, b, r.hom)
-        witness = r.witness_map()
-        assert set(witness) == set(r.subsets)
-    r = totally_symmetric_check(directed_cycle(3))
-    assert not r.ok and r.hom is None and r.witness_map() is None
+        hom = totally_symmetric_check(b)
+        assert is_homomorphism(subset_power_structure(b), b, hom)
+        # entry m is the image of the subset with bit mask m + 1, so sending
+        # a tuple to the image of its entry set is totally symmetric
+        table = OperationTable(3, b.size, tuple(
+            hom[sum(1 << v for v in set(t)) - 1]
+            for t in itertools.product(range(b.size), repeat=3)))
+        assert table.is_polymorphism_of(b)
+        assert table.satisfies(block_symmetric_absorptive(1, 3))
+    assert totally_symmetric_check(directed_cycle(3)) is None
 
 
 # The built-in fixtures the literal subset power can reach; the 13-element
@@ -318,10 +318,10 @@ def _absorptive_exists_literal(b):
     return False
 
 
-def _table_of_map(witness_map, size, k, n):
+def _table_of_map(systems, hom, size, k, n):
     """The operation a set-system witness stands for: each tuple goes to
     the value of the canonical set system of its blocks."""
-    lookup = dict(witness_map)
+    lookup = dict(zip(systems, hom))
     return OperationTable(k * n, size, tuple(
         lookup[canonical_set_system(_blocks_of(t, k))]
         for t in itertools.product(range(size), repeat=k * n)
@@ -334,8 +334,8 @@ def test_absorptive_check_matches_literal_oracle_at_2_2():
         want = "yes" if _absorptive_exists_literal(b) else "no"
         r = absorptive_check(b, 2, 2)
         assert r.status == want, b.name
-        set_table = None if r.witness_map is None else \
-            _table_of_map(r.witness_map, b.size, 2, 2)
+        set_table = None if r.hom is None else \
+            _table_of_map(r.systems, r.hom, b.size, 2, 2)
         dense_table = find_polymorphism_satisfying(b, cond)
         for oracle, table in (("dense", dense_table),
                               ("setsystem", set_table)):
@@ -357,6 +357,18 @@ def test_set_systems_are_the_absorptive_identity_classes(size, k, n):
         ss = canonical_set_system(_blocks_of(t, k))
         assert system_of.setdefault(part.find(code), ss) == ss, t
     assert len(set(system_of.values())) == len(system_of)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_element_blocks_identify_tuples_by_entry_set(size, n):
+    # block_symmetric_absorptive(1, n) is the totally symmetric condition
+    part = closure_partition(block_symmetric_absorptive(1, n), size)
+    class_of = {}
+    for code, t in enumerate(itertools.product(range(size), repeat=n)):
+        assert class_of.setdefault(frozenset(t), part.find(code)) == \
+            part.find(code), t
+    assert len(set(class_of.values())) == len(class_of)
 
 
 @pytest.mark.parametrize("k,n", [(1, 2), (2, 2), (2, 3), (3, 2)])
@@ -405,8 +417,7 @@ def test_k_1_and_n_1_absorptive_checks_pass_where_the_subset_power_maps_home():
     passed = capped = 0
     for b in _covering_randoms(2400, seed=2402):
         cap = rng.choice((4, 16, 64, DEFAULT_STREAM_CAP))
-        tree = _unless_capped(totally_symmetric_check, b, cap)
-        if tree is None or not tree.ok:
+        if _unless_capped(totally_symmetric_check, b, cap) is None:
             continue
         for k, n in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (3, 1), (4, 1)]:
             res = _unless_capped(absorptive_check, b, k, n, cap)
@@ -427,31 +438,15 @@ def test_subset_power_raises_exactly_where_the_literal_power_is_over_cap():
                 (None if largest > cap else power), (b.name, cap)
 
 
-def test_set_systems_are_built_only_for_a_read_witness(monkeypatch):
-    built = []
-    check = SetSystem.__post_init__
-    monkeypatch.setattr(SetSystem, "__post_init__",
-                        lambda self: built.append(self) or check(self))
+def test_absorptive_results_hold_the_literal_systems_and_homomorphism():
     cases = ((path(3), 2, 2), (horn_sat(), 2, 2),
              (caterpillar_example(), 2, 3), (weak_rules_template(), 1, 3))
     results = [absorptive_check(*case) for case in cases]
-    # a fallback sweep reports pairs, never their maps
-    report = classify(weak_rules_template(),
-                      Caps(stream_cap=1 << 12, max_k=2, max_n=2))
-    assert report.witnesses["caterpillar_lam"]["kind"] == "cap"
-    assert built == []
     assert [r.status for r in results] == ["yes", "no", "yes", "yes"]
     for r, (b, k, n) in zip(results, cases):
-        if r.status == "no":
-            assert r.witness_map is None
-            continue
         struct, systems = setsystem_structure_literal(b, k, n)
-        eager = tuple(zip(map(canonical_set_system, systems),
-                          find_homomorphism(struct, b)))
-        built.clear()
-        assert r.witness_map == eager
-        assert len(built) == r.indicator_size
-        assert r.witness_map is r.witness_map
+        assert (r.systems, r.indicator_size) == (systems, struct.size)
+        assert r.hom == find_homomorphism(struct, b)
 
 
 def test_setsystem_strategy_rejects_a_wrong_map(monkeypatch):
