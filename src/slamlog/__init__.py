@@ -43,14 +43,6 @@ from .datalog import (
     reverse_rule,
     subset_name,
 )
-from .gadget import (
-    GadgetFormatError,
-    PPPowerSpec,
-    apply_gadget_reduction,
-    parse_ppower_spec,
-    pp_power,
-    render_ppower_spec,
-)
 from .homsolver import (
     SignatureMismatch,
     WitnessError,
@@ -101,6 +93,22 @@ from .structures import (
     unfold,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# slamlog.gadget is imported on first use of one of its names (PEP 562),
+# since only its own commands need it
+_GADGET = ("GadgetFormatError", "PPPowerSpec", "apply_gadget_reduction",
+           "parse_ppower_spec", "pp_power", "render_ppower_spec")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] +
+                 ["gadget", *_GADGET])
+
+
+def __getattr__(name):
+    if name != "gadget" and name not in _GADGET:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, since `from . import gadget` would look gadget up here
+    from importlib import import_module
+    gadget = import_module(".gadget", __name__)
+    return gadget if name == "gadget" else getattr(gadget, name)
+
 
 __version__ = "0.1.0"

@@ -26,12 +26,6 @@ from .datalog import (
     evaluate,
     parse_program,
 )
-from .gadget import (
-    GadgetFormatError,
-    apply_gadget_reduction,
-    parse_ppower_spec,
-    pp_power,
-)
 from .homsolver import (
     SignatureMismatch,
     arc_consistency,
@@ -47,9 +41,9 @@ from .structures import (
     unfold,
 )
 
-_ERRORS = (StructureFormatError, DatalogFormatError, GadgetFormatError,
-           UnfoldError, SignatureMismatch, CapExceeded, ValueError,
-           KeyError, OSError)
+# GadgetFormatError is a ValueError, so gadget need not be imported here
+_ERRORS = (StructureFormatError, DatalogFormatError, UnfoldError,
+           SignatureMismatch, CapExceeded, ValueError, KeyError, OSError)
 
 
 def _read(path: str, state: dict) -> str:
@@ -257,6 +251,7 @@ def _cmd_unfold(args, state) -> int:
 
 
 def _cmd_gadget(args, state) -> int:
+    from .gadget import apply_gadget_reduction, parse_ppower_spec, pp_power
     spec = parse_ppower_spec(_read(args.spec, state))
     if args.action == "apply":
         c = parse_structure(_read(args.instance, state))

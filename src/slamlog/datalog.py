@@ -91,8 +91,11 @@ class Program:
     """Rules over an EDB signature; IDB predicates are everything else.
 
     `origin` is (template, fragment) when canonical_program built the
-    program, else None.  `copy.copy` keeps it; `dataclasses.replace` and
-    parsing drop it, and it takes no part in equality, hashing or repr.
+    program, else None.  Such a program renders its rules from the
+    template's blocks on the first read of `rules`, and checks them then.
+    `copy.copy` keeps origin, and the rules if they were read;
+    `dataclasses.replace` and parsing drop it.  Equality, hashing and repr
+    are those of the signature and rules, so they read the rules.
     """
 
     signature: Signature
@@ -127,6 +130,15 @@ class Program:
                             f"IDB {atom.pred!r} used with arities "
                             f"{seen} and {len(atom.args)}"
                         )
+
+    def __getattr__(self, name):
+        # reached only for attributes missing from the instance and class
+        if name != "rules" or self.origin is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "rules", _canonical_rules(*self.origin))
+        self.__post_init__()
+        return self.rules
 
     def idb_arities(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -416,10 +428,11 @@ def _add_run(entries, rel, keys, run) -> None:
 
 def _rule_index(ref, s: int) -> int:
     """The index of the rule with head s in the run at ref, its {head: rule
-    index} or (block, i) for pair i of (pairs, by_head, start) of a block."""
+    index} or (block, i) for pair i of (pairs, by_head, start, head
+    position) of a block."""
     if isinstance(ref, dict):
         return ref[s]
-    (pairs, by_head, start), i = ref
+    (pairs, by_head, start, _), i = ref
     below = (1 << s) - 1
     heads = [mask for _, mask in pairs]
     if by_head:     # all rules with smaller heads, then those of s before i
@@ -452,8 +465,11 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
     against every row up front, so facts, goal and trace are those of that
     full grounding.  The first derivation of each fact is remembered, so
     traces are reproducible; a trace is kept for linear programs (at most
-    one IDB atom per body).  With stop_at_goal the fixpoint is cut short as
-    soon as the goal fires and the fact set may be partial.
+    one IDB atom per body).  A step of a program with an origin binds
+    x{y+1} for its head position y, then the other x{i+1}, to its row, as
+    its rule would, so that its rules are never rendered.  With
+    stop_at_goal the fixpoint is cut short as soon as the goal fires and
+    the fact set may be partial.
     """
     if p.signature != a.signature:
         raise SignatureMismatch(
@@ -573,9 +589,10 @@ def evaluate(p: Program, a: Structure, stop_at_goal: bool = False) -> EvalResult
             rule_idx = _rule_index(ref, 0 if state == GOAL_FACT else state[0])
             fact = state if state == GOAL_FACT else \
                 (names[state[0]], state[1:])
+            bindings = _bindings(p.rules[rule_idx], p.signature, t) \
+                if p.origin is None else _block_bindings(ref[0][3], t)
             steps.append(DerivationStep(fact=fact, rule_index=rule_idx,
-                                        bindings=_bindings(p.rules[rule_idx],
-                                                           p.signature, t)))
+                                        bindings=bindings))
             state = body
         trace = Derivation(program=p, steps=tuple(reversed(steps)))
     return EvalResult(facts=facts, goal=goal, trace=trace)
@@ -669,6 +686,13 @@ def _bindings(rule: Rule, sig: Signature, row: tuple) -> tuple:
     value = dict(zip(_row_args(rule, sig), row))
     return tuple([(v, value[v]) for v in dict.fromkeys(
         [v for atom in (rule.head, *rule.body) for v in atom.args])])
+
+
+def _block_bindings(y, row: tuple) -> tuple:
+    """_bindings on row of a canonical program's rule with head position y
+    (None for goal): x{y+1} first, then x{i+1} for the row's other i."""
+    return tuple([(f"x{i + 1}", row[i])
+                  for i in sorted(range(len(row)), key=lambda i: i != y)])
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +876,7 @@ def _canonical_tables(b: Structure, fragment: str):
     index = 0
     for rel, _, head, positions, pairs, by_head in \
             _canonical_blocks(b, fragment):
-        block = (pairs, by_head, index)
+        block = (pairs, by_head, index, head)
         columns = tuple([(rel, x) for x in positions])
         index += sum([heads.bit_count() for _, heads in pairs])
         if len(positions) <= 1:
@@ -887,9 +911,10 @@ def canonical_program(b: Structure, fragment: str) -> Program:
     CapExceeded is raised before anything is built when the am candidates
     exceed the stream cap.
 
-    The rules are rendered from _canonical_blocks, and the program's
-    `origin` is (b, fragment): evaluate compiles it from the same blocks
-    into integer tables instead of reading its rules.
+    The program's `origin` is (b, fragment).  Its rules are rendered from
+    _canonical_blocks on their first read, and evaluate never reads them:
+    it compiles the same blocks into integer tables, and names a trace
+    step's variables by the head position and row.
     """
     if fragment not in FRAGMENTS:
         raise ValueError(f"unknown fragment {fragment!r}")
@@ -905,7 +930,14 @@ def canonical_program(b: Structure, fragment: str) -> Program:
                 f"canonical am program of a {n}-element template has "
                 f"{candidates} candidate rules, over the stream cap "
                 f"{DEFAULT_STREAM_CAP}")
-    names = _subset_names(n)
+    program = object.__new__(Program)
+    program.__dict__.update(signature=b.signature, origin=(b, fragment))
+    return program
+
+
+def _canonical_rules(b: Structure, fragment: str) -> tuple[Rule, ...]:
+    """The rules of canonical_program(b, fragment), from its blocks."""
+    names = _subset_names(b.size)
     goal = (Atom(GOAL, ()),)
     rules: list[Rule] = []
     for rel, r, head, positions, pairs, by_head in \
@@ -924,9 +956,7 @@ def canonical_program(b: Structure, fragment: str) -> Program:
         else:
             rules += [Rule(head=heads[s], body=atoms)
                       for atoms, mask in bodies for s in _bits(mask)]
-    program = Program(signature=b.signature, rules=tuple(rules))
-    object.__setattr__(program, "origin", (b, fragment))
-    return program
+    return tuple(rules)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,6 +1072,6 @@ def repair_to_symmetric(d: Derivation, slam: Program) -> Derivation:
         index = _lookup(slam, (rel, x, y, None if x is None else masks[i - 1],
                                masks[i]))
         fact = GOAL_FACT if y is None else (names[masks[i]], (row[y],))
-        steps.append(DerivationStep(fact=fact, rule_index=index, bindings=
-                                    _bindings(slam.rules[index], sig, row)))
+        steps.append(DerivationStep(fact=fact, rule_index=index,
+                                    bindings=_block_bindings(y, row)))
     return Derivation(program=slam, steps=tuple(steps))

@@ -198,7 +198,8 @@ def pp_power(b: Structure, spec: PPPowerSpec) -> Structure:
     """The structure over spec.target whose domain is b^d and whose
     relations hold exactly where the defining queries are satisfied.
     Raises CapExceeded when a query has more than DEFAULT_STREAM_CAP
-    solutions in b."""
+    solutions in b, before enumerating them when the elements of its
+    canonical database in no atom alone give more."""
     if spec.source != b.signature:
         raise SignatureMismatch("structure does not match the source signature")
     d = spec.dimension
@@ -207,9 +208,13 @@ def pp_power(b: Structure, spec: PPPowerSpec) -> Structure:
     for sym, arity in spec.target.symbols:
         q = spec.query(sym)
         db, var_map = canonical_database(q)
+        # each element in no atom multiplies the solutions by b.size
+        isolated = db.size - len({e for rel in db.relations for t in rel
+                                  for e in t})
+        over = b.size ** isolated > DEFAULT_STREAM_CAP
         rows = set()
         for count, hom in enumerate(enumerate_homomorphisms(db, b)):
-            if count == DEFAULT_STREAM_CAP:
+            if over or count == DEFAULT_STREAM_CAP:
                 raise CapExceeded(f"query for {sym} has more than "
                                   f"{DEFAULT_STREAM_CAP} solutions")
             # free variable x{p+1} is coordinate p % d of argument p // d

@@ -190,6 +190,18 @@ def test_gadget_power_over_the_stream_cap_exits_2(files, capsys, tmp_path,
     assert line == "error: query for E has more than 1000 solutions"
 
 
+def test_gadget_power_refuses_free_coordinates_at_the_default_cap(
+        files, capsys, tmp_path):
+    # 2 * 3^19 solutions, refused from the 19 free coordinates
+    spec = tmp_path / "spec.txt"
+    spec.write_text("ppower d=10 from E/2 ; rel E/2 := exists z . E(x1,z)\n")
+    assert main(["gadget", "power", str(spec), files["p3"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == "error: query for E has more than 1048576 solutions"
+
+
 def test_verify_duality(files, capsys):
     assert main(["verify", "duality", files["p2"], files["p3"], "--size", "3"]) == 0
     blob = json.loads(capsys.readouterr().out)

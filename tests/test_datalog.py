@@ -518,6 +518,76 @@ def test_origin_is_provenance_only():
     assert "origin" not in repr(p)
 
 
+def test_canonical_rules_render_on_first_read(monkeypatch):
+    """A canonical program holds no rules until something reads them.  Each
+    reader then sees the rules built eagerly from the blocks, checked as
+    Program checks them; a copy renders its own until the original has."""
+    b = path(3)
+    for fragment in ("am", "lam", "slam"):
+        eager = Program(b.signature, datalog._canonical_rules(b, fragment))
+        parsed = parse_program(eager.render(), b.signature)
+        for read in (lambda p: p.rules, Program.render, repr, hash,
+                     fragment_of, Program.idb_arities,
+                     lambda p: p == parsed, dataclasses.replace):
+            p = canonical_program(b, fragment)
+            assert "rules" not in vars(p)
+            assert read(p) == read(eager)
+            assert p.rules == parsed.rules and hash(p) == hash(parsed)
+        assert dataclasses.replace(p).origin is None
+
+    p = canonical_program(b, "slam")
+    before = copy.copy(p)
+    assert before.origin == p.origin and before.rules == eager.rules
+    assert "rules" not in vars(p)
+    rules = p.rules
+    after = copy.copy(p)
+    assert after.rules is rules and after.origin == p.origin
+    assert datalog._compiled(after) is not datalog._compiled(p)
+
+    edb_head = (Rule(Atom("E", ("x", "y")), (Atom("E", ("x", "y")),)),)
+    with pytest.raises(DatalogFormatError, match="used as a rule head"):
+        Program(b.signature, edb_head)
+    monkeypatch.setattr(datalog, "_canonical_rules", lambda b, f: edb_head)
+    with pytest.raises(DatalogFormatError, match="used as a rule head"):
+        canonical_program(b, "slam").rules
+
+    def refuse(b, fragment):
+        raise AssertionError("blocks built")
+    monkeypatch.setattr(datalog, "_canonical_blocks", refuse)
+    assert canonical_program(b, "am").origin == (b, "am")
+    with pytest.raises(CapExceeded):
+        canonical_program(non_caterpillar_example(), "am")
+    with pytest.raises(ValueError, match="unknown fragment"):
+        canonical_program(b, "lm")
+
+
+def test_evaluation_renders_no_rule(monkeypatch):
+    """evaluate runs a canonical program from its blocks and names its
+    trace steps' variables by head position and row: it builds no Rule,
+    and its facts, goal and trace are those of its rules parsed back."""
+    built = []
+    post_init = Rule.__post_init__
+    monkeypatch.setattr(Rule, "__post_init__",
+                        lambda rule: built.append(rule) or post_init(rule))
+
+    def outcome(result):        # bindings in order, as the steps hold them
+        return result.facts, result.goal, result.trace and result.trace.steps
+    rng = random.Random(6065)
+    traces = 0
+    for b, fragment, _, parsed in _parsed_canonical_programs():
+        sizes = (1, 2, 3, 4, 7, 10) + (() if fragment == "am" else (30,))
+        for a in [_random_instance(b.signature, rng, n) for n in sizes]:
+            for stop in (False, True):
+                p = copy.copy(canonical_program(b, fragment))
+                count = len(built)
+                got = outcome(evaluate(p, a, stop_at_goal=stop))
+                want = outcome(evaluate(parsed, a, stop_at_goal=stop))
+                assert len(built) == count and "rules" not in vars(p)
+                assert got == want, (b.name, fragment, a.size, stop)
+                traces += got[2] is not None
+    assert traces > 100
+
+
 HAND_PROGRAM = """
 S(x) :- E(x,y).
 T(x) :- R(x), S(x).

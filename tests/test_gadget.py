@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slamlog
+from slamlog import gadget
 from slamlog.fixtures import path
 from slamlog.gadget import (
     GadgetFormatError,
@@ -14,8 +19,12 @@ from slamlog.gadget import (
     pp_power,
     render_ppower_spec,
 )
-from slamlog.homsolver import find_homomorphism, is_isomorphic
-from slamlog.polymorph import CapExceeded
+from slamlog.homsolver import (
+    enumerate_homomorphisms,
+    find_homomorphism,
+    is_isomorphic,
+)
+from slamlog.polymorph import DEFAULT_STREAM_CAP, CapExceeded
 from slamlog.structures import canonical_database, make_structure
 
 
@@ -138,6 +147,74 @@ def test_pp_power_refuses_a_query_over_the_stream_cap(monkeypatch):
     monkeypatch.setattr("slamlog.gadget.DEFAULT_STREAM_CAP", 5)
     with pytest.raises(CapExceeded, match="U has more than 5 solutions"):
         pp_power(path(3), spec)
+
+
+def test_pp_power_refuses_free_coordinates_over_the_cap_after_one_solution(
+        monkeypatch):
+    drawn = []
+
+    def counted(a, b):
+        for hom in enumerate_homomorphisms(a, b):
+            drawn.append(hom)
+            yield hom
+    monkeypatch.setattr(gadget, "enumerate_homomorphisms", counted)
+    # x2..x20 occur in no atom: 3^19 times 2 solutions on P3
+    spec = parse_ppower_spec(
+        "ppower d=10 from E/2 ; rel E/2 := exists z . E(x1,z)")
+    with pytest.raises(CapExceeded, match=f"E has more than "
+                       f"{DEFAULT_STREAM_CAP} solutions"):
+        pp_power(path(3), spec)
+    assert len(drawn) <= 1
+    # without a loop in P3 there is no solution at all
+    spec = parse_ppower_spec("ppower d=10 from E/2 ; rel E/2 := E(x1,x1)")
+    drawn.clear()
+    assert pp_power(path(3), spec).rel("E") == frozenset() and not drawn
+    # on P2, x2 is free and x1 = 0 the one choice: 2 solutions
+    spec = parse_ppower_spec("ppower d=2 from E/2\nrel U/1 := "
+                             "exists z . E(x1,z)\n")
+    monkeypatch.setattr(gadget, "DEFAULT_STREAM_CAP", 2)
+    assert sorted(pp_power(path(2), spec).rel("U")) == [(0,), (1,)]
+    monkeypatch.setattr(gadget, "DEFAULT_STREAM_CAP", 1)
+    drawn.clear()
+    with pytest.raises(CapExceeded, match="U has more than 1 solutions"):
+        pp_power(path(2), spec)
+    assert len(drawn) == 1
+
+
+def test_gadget_is_imported_on_first_use():
+    code = ("import sys, slamlog, slamlog.cli\n"
+            "assert 'slamlog.gadget' not in sys.modules\n"
+            "from slamlog import pp_power\n"
+            "assert pp_power is sys.modules['slamlog.gadget'].pp_power\n")
+    src = str(Path(slamlog.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src)
+    assert sorted(slamlog.__all__) == [
+        "AbsorptiveResult", "Atom", "CapExceeded", "Caps",
+        "ClassificationReport", "ConjunctiveQuery", "DatalogFormatError",
+        "Derivation", "DerivationStep", "EvalResult", "FragmentFlags",
+        "GadgetFormatError", "IncidenceGraph", "MinorCondition", "NotSlam",
+        "OperationTable", "PPPowerSpec", "Partition", "Program",
+        "RepairFailed", "Rule", "ShapeFlags", "Signature",
+        "SignatureMismatch", "Structure", "StructureFormatError",
+        "SweepReport", "UnfoldError", "Verdict", "WitnessError",
+        "absorptive_check", "apply_gadget_reduction", "arc_consistency",
+        "block_symmetric_absorptive", "canonical_database",
+        "canonical_program", "canonical_query", "canonical_rule_key",
+        "classify", "condition_pairs", "core_of", "datalog", "emit_slam",
+        "enumerate_homomorphisms", "enumerate_instances", "evaluate",
+        "find_homomorphism", "find_isomorphism",
+        "find_polymorphism_satisfying", "fragment_of", "gadget",
+        "hom_equivalent", "homsolver", "incidence_graph",
+        "indicator_structure", "is_core", "is_homomorphism",
+        "is_isomorphic", "lattice_polymorphisms", "longest_path",
+        "make_structure", "name_subset", "parse_ppower_spec",
+        "parse_program", "parse_structure", "polymorph", "pp_power",
+        "quasi_majority", "quasi_maltsev", "quasi_minority",
+        "render_ppower_spec", "render_program", "render_structure",
+        "repair_to_symmetric", "reverse_rule", "shape_of", "structures",
+        "subset_name", "subset_power_structure", "totally_symmetric_check",
+        "unfold", "verify_duality_pair", "verify_program_solves"]
+    assert slamlog.gadget is gadget and slamlog.pp_power is pp_power
 
 
 def test_identity_reduction_is_isomorphic_to_the_instance():
